@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .intlinalg import IntMatrix, column_hnf
+from .intlinalg import IntMatrix, column_hnf, solve_columns_mod_lattice
 from .kernel import (
     Analysis,
     ExactStructureModel,
@@ -57,7 +57,7 @@ class CompletedModel(ExactStructureModel):
     def __init__(self, base: ExactStructureModel):
         self.base = base
         self.model_id = f"completion({base.model_id})"
-        self.policy = base.policy
+        self.abelian = base.abelian
         self.idempotent_complete = True
         self.weakly_idempotent_complete = True
         self.target: PresentedModel = base if base.idempotent_complete else free_split()
@@ -127,9 +127,7 @@ class CompletedModel(ExactStructureModel):
             return hit
         base, p = payload.base, payload.idem
         if self.base.idempotent_complete:
-            basis = self.base._image_lattice(
-                self.base.morphism(base, base, p, check=False)) \
-                if self.base.object_family == "presented" else column_hnf(p)
+            basis = self.base._image_lattice(self.base.morphism(base, base, p, check=False))
             mono = self.base.subobject(base, basis)
             target = mono.dom
             ret = self.base.solve_right_factor(mono,
@@ -141,14 +139,10 @@ class CompletedModel(ExactStructureModel):
         else:
             basis = column_hnf(p)   # saturated: idempotent images are summands
             target = self.target.object(basis.cols)
-            from .intlinalg import MatrixEquationSystem
-            sys = MatrixEquationSystem()
-            sys.unknown("r", basis.cols, p.rows)
-            sys.equation([("r", basis, IntMatrix.identity(p.cols))], p)
-            sol = sys.solve()
-            if sol is None:
+            ret = solve_columns_mod_lattice(basis, p, IntMatrix.zeros(p.rows, 0))
+            if ret is None:
                 raise InternalCheckError("free idempotent image retraction is missing")
-            data = SplitData(target, basis, sol["r"])
+            data = SplitData(target, basis, ret)
         self._splits[payload] = data
         return data
 
@@ -239,17 +233,8 @@ class CompletedModel(ExactStructureModel):
         return self.base._rand_matrix(rng, rows, cols, bound)
 
     def random_object(self, rng: random.Random, bounds: GenBounds) -> ObjectHandle:
-        if self.base.object_family == "free":
-            host = self.base.random_object(rng, bounds)
-            p = self.base.random_idempotent(rng, host)
-            return self.pair(host, p.matrix)
-        a = self.base.random_object(rng, bounds)
-        b = self.base.random_object(rng, bounds)
-        bp = self.base.biproduct(a, b)
-        t, tinv = self.base._random_shear_pair(rng, bp)
-        proj = (bp.inj1 @ bp.proj1)
-        idem = t.matrix @ proj.matrix @ tinv.matrix
-        return self.pair(bp.ob, idem)
+        host, p = self.base.random_split_pair(rng, bounds)
+        return self.pair(host, p.matrix)
 
     def random_morphism(self, rng: random.Random, a: ObjectHandle,
                         b: ObjectHandle) -> MorphismHandle:
@@ -286,30 +271,8 @@ class CompletedModel(ExactStructureModel):
         u = self.target.random_automorphism(rng, self._split(a).target)
         return self.from_target(u, a, a)
 
-    def random_idempotent(self, rng: random.Random, a: ObjectHandle) -> MorphismHandle:
-        if getattr(self.target, "object_family", None) == "free":
-            q = self.target.random_idempotent(rng, self._split(a).target)
-            return self.from_target(q, a, a)
-        raise PreconditionError("random idempotents on a fixed object need a free target; "
-                                "use random_split_pair instead")
-
-    def random_split_pair(self, rng: random.Random,
-                          bounds: GenBounds) -> tuple[ObjectHandle, MorphismHandle]:
-        """A random completion object with a random idempotent on it."""
-        x = self.random_object(rng, bounds)
-        y = self.random_object(rng, bounds)
-        bp = self.biproduct(x, y)
-        f = self.random_morphism(rng, y, x)
-        g = self.random_morphism(rng, x, y)
-        one = self.identity(bp.ob)
-        upper = one + (bp.inj1 @ f @ bp.proj2)
-        lower = one + (bp.inj2 @ g @ bp.proj1)
-        upper_inv = one - (bp.inj1 @ f @ bp.proj2)
-        lower_inv = one - (bp.inj2 @ g @ bp.proj1)
-        t = upper @ lower
-        tinv = lower_inv @ upper_inv
-        q = t @ bp.inj1 @ bp.proj1 @ tinv
-        return bp.ob, q
+    def idempotent_edge(self) -> Optional[tuple[ObjectHandle, MorphismHandle]]:
+        return self.random_split_pair(random.Random("nh-edge"), GenBounds(max_gens=2))
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .intlinalg import IntMatrix
+from .intlinalg import IntMatrix, preimage_basis, solve_columns_mod_lattice
 from .kernel import (
     Analysis,
     BiproductData,
@@ -352,23 +352,16 @@ class HomologyData:
 
     def coords_of_cycle(self, v: IntMatrix) -> Optional[IntMatrix]:
         """Class coordinates of cycle columns, or None if not cycles."""
-        from .intlinalg import MatrixEquationSystem
         x, n = self.complex, self.degree
-        model = x.model
         denom = IntMatrix.hstack(x.differential(n - 1).matrix,
                                  x.component(n).payload.relations)
-        sys = MatrixEquationSystem()
-        sys.unknown("c", self.ob.payload.ngens, v.cols)
-        sys.equation([("c", self.cycles, IntMatrix.identity(v.cols))], v, mod=denom)
-        sol = sys.solve()
-        return sol["c"] if sol is not None else None
+        return solve_columns_mod_lattice(self.cycles, v, denom)
 
 
 def _homology_data(x: ChainComplex, n: int) -> HomologyData:
     model = x.model
-    if model.policy != "AllKernelCokernel":
-        raise PreconditionError("homology objects require an abelian-style model")
-    from .intlinalg import preimage_basis
+    if not (model.abelian and model.presented):
+        raise PreconditionError("homology objects need an abelian model of presented groups")
     d_out = x.differential(n)
     d_in = x.differential(n - 1)
     kbasis = model._kernel_lattice(d_out)

@@ -480,8 +480,8 @@ def random_ses_morphism(rng: random.Random, model, bounds: GenBounds) -> SesMorp
     components are the induced arrows, so every draw is a genuine
     commuting map of short exact sequences.
     """
-    if model.policy != "AllKernelCokernel" or not hasattr(model, "subobject"):
-        raise PreconditionError("ses-morphism generation targets abelian-style models")
+    if not (model.abelian and model.presented):
+        raise PreconditionError("ses-morphism generation needs an abelian model of presented groups")
     src = model.random_ses(rng, bounds)
     x = model.random_object(rng, bounds)
     b = model.random_morphism(rng, src.mid, x)

@@ -615,6 +615,25 @@ def solve_mod_lattice(a: IntMatrix, b: Sequence[int] | IntMatrix,
     return sol[:a.cols], sol[a.cols:]
 
 
+def solve_columns_mod_lattice(a: IntMatrix, b: IntMatrix,
+                              lattice_gens: IntMatrix) -> Optional[IntMatrix]:
+    """Some X with a @ X = b modulo col(lattice_gens), or None.
+
+    The columns of X are solved one at a time against the cached solver of
+    [a | lattice_gens], so no Kronecker-assembled system is built.
+    """
+    if b.rows != a.rows or lattice_gens.rows != a.rows:
+        raise DimensionMismatch("right-hand side and lattice must live in the row space of a")
+    solver = _solver(IntMatrix.hstack(a, lattice_gens))
+    cols = []
+    for j in range(b.cols):
+        sol = solver.solve(b.column_at(j))
+        if sol is None:
+            return None
+        cols.append(sol[:a.cols])
+    return IntMatrix(a.cols, b.cols, tuple(tuple(c[i] for c in cols) for i in range(a.cols)))
+
+
 def preimage_basis(m: IntMatrix, lattice_gens: IntMatrix) -> IntMatrix:
     """Canonical basis of the lattice {x : m @ x in col(lattice_gens)}."""
     if m.rows != lattice_gens.rows:

@@ -236,15 +236,24 @@ class MorphismSystem:
 class ExactStructureModel:
     """Base class for model categories; payload-level matrix plumbing lives here.
 
-    Subclasses fill in the object layer, admissibility policy and random
-    generators.  ``policy`` is one of AllKernelCokernel, SplitOnly,
-    ExactInAmbient, EvenRankSplit.
+    Subclasses fill in the object layer, the admissibility tests of their
+    exact structure and the random generators.  Code outside the models
+    asks what a model can do only through the declared capabilities below.
     """
 
     model_id: str = "abstract"
-    policy: str = "AllKernelCokernel"
     idempotent_complete: bool = True
     weakly_idempotent_complete: bool = True
+
+    abelian: bool = False
+    """Every kernel-cokernel pair is admissible: the model is an abelian
+    category with its maximal exact structure (fgab, vect and their
+    completions)."""
+
+    presented: bool = False
+    """Objects are group presentations: the model has ``object(ngens)``,
+    ``subobject``, ``quotient_by`` and the lattice kernels behind homology
+    objects and Hom objects."""
 
     # -- object layer hooks -------------------------------------------
 
@@ -452,6 +461,20 @@ class ExactStructureModel:
         lower_inv = one - (bp.inj2 @ g @ bp.proj1)
         return upper @ lower, lower_inv @ upper_inv
 
+    def random_split_pair(self, rng: random.Random,
+                          bounds: GenBounds) -> tuple[ObjectHandle, MorphismHandle]:
+        """A random object with a random idempotent on it: a coordinate
+        projection of a random biproduct, conjugated by a shear."""
+        bp = self.biproduct(self.random_object(rng, bounds),
+                            self.random_object(rng, bounds))
+        t, tinv = self._random_shear_pair(rng, bp)
+        return bp.ob, t @ bp.inj1 @ bp.proj1 @ tinv
+
+    def idempotent_edge(self) -> Optional[tuple[ObjectHandle, MorphismHandle]]:
+        """A fixed object with a nontrivial idempotent for the edge battery
+        of the idempotent laws, or None where those laws do not run."""
+        return None
+
     # -- misc -----------------------------------------------------------
 
     def _require_same_model(self, *items) -> None:
@@ -460,14 +483,6 @@ class ExactStructureModel:
             if m is not self and m.model_id != self.model_id:
                 raise ModelMismatch(
                     f"operands from model {m.model_id!r} used in model {self.model_id!r}")
-
-    def describe(self) -> dict:
-        return {
-            "model_id": self.model_id,
-            "policy": self.policy,
-            "idempotent_complete": self.idempotent_complete,
-            "weakly_idempotent_complete": self.weakly_idempotent_complete,
-        }
 
 
 # -- module-level generic operations -----------------------------------

@@ -503,7 +503,7 @@ def check_five(model: ExactStructureModel, cfg: LawConfig) -> LawReport:
 
     # the restriction/quotient recipes need subobject machinery and all
     # kernels; they run on the abelian-style presented models
-    if model.policy == "AllKernelCokernel" and hasattr(model, "subobject"):
+    if model.abelian and model.presented:
         from .intlinalg import column_hnf
 
         def gen_monic(rng):
@@ -667,16 +667,9 @@ def check_nh_acyclic(model: ExactStructureModel, cfg: LawConfig) -> LawReport:
 
     subs.append(run_law("nh_acyclic_bounded", model, cfg, gen_bounded, check_bounded))
 
-    can_idem = getattr(model, "object_family", None) == "free" or \
-        hasattr(model, "random_split_pair")
-
     def gen_periodic(rng):
-        if hasattr(model, "random_split_pair"):
-            a, q = model.random_split_pair(rng, cfg.bounds)
-            return {"a": a, "p": q}
-        a = model.random_object(rng, cfg.bounds)
-        p = model.random_idempotent(rng, a)
-        return {"a": a, "p": p}
+        a, q = model.random_split_pair(rng, cfg.bounds)
+        return {"a": a, "p": q}
 
     def check_periodic(inst):
         x = periodic_idempotent_complex(model, inst["a"], inst["p"], 6)
@@ -684,21 +677,10 @@ def check_nh_acyclic(model: ExactStructureModel, cfg: LawConfig) -> LawReport:
             return False
         return periodic_is_acyclic(x) is not None
 
-    if can_idem:
-        edges = []
-        if getattr(model, "object_family", None) == "free":
-            # the canonical rank-one coordinate projection on a rank-two object
-            host = model.object(2)
-            edges.append({"a": host,
-                          "p": model.morphism(host, host,
-                                              IntMatrix.diagonal([1, 0]),
-                                              check=False)})
-        elif hasattr(model, "random_split_pair"):
-            host, q = model.random_split_pair(
-                random.Random("nh-edge"), GenBounds(max_gens=2))
-            edges.append({"a": host, "p": q})
+    edge = model.idempotent_edge()
+    if edge is not None:
         subs.append(run_law("nh_acyclic_periodic", model, cfg, gen_periodic,
-                            check_periodic, edges=edges))
+                            check_periodic, edges=[{"a": edge[0], "p": edge[1]}]))
     return _merge("nh_acyclic", model, cfg, subs)
 
 
@@ -846,7 +828,6 @@ def check_functor_exact(functor, model: ExactStructureModel,
             return square_is_bicartesian(fsq[2], fsq[3], fsq[0], fsq[1])
         return square_is_bicartesian(fsq[0], fsq[1], fsq[2], fsq[3])
 
-    z = model.zero_object() if hasattr(model, "zero_object") else None
     edges = []
     from .models import cyclic, fgab
     if model is fgab():

@@ -3,7 +3,7 @@
 Objects are presentations (generator count + integer relation matrix) and
 arrows are matrices on generators, well-defined modulo the relation
 lattices.  Six exact structures are provided on top of this single
-representation:
+representation, one class per structure:
 
 * ``fgab()``            - all kernel-cokernel pairs (an abelian category),
 * ``vect_model(p)``     - finite-dimensional spaces over F_p (abelian),
@@ -14,6 +14,13 @@ representation:
 * ``even_rank_split()`` - even-rank free groups with the split structure
                           (weakly idempotent complete, not idempotent
                           complete).
+
+``PresentedModel`` holds the lattice machinery of the ambient abelian
+category and, by default, decides admissibility there, treats every
+object as projective and generates admissible arrows from split data.
+Each model class overrides exactly the admissibility tests, analysis,
+projective covers and random generators that its structure changes;
+``SplitModel`` holds the split structure its three split models share.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ from typing import Optional
 from .intlinalg import (
     IntMatrix,
     column_hnf,
-    kernel_mod_p,
     lattice_contains,
     lattice_equal,
     preimage_basis,
@@ -94,9 +100,15 @@ def _invariants_of(payload: PresentedObject) -> IsoInvariants:
 
 
 class PresentedModel(ExactStructureModel):
-    """Shared machinery for all presented-group models."""
+    """Presented groups with the lattice machinery of the ambient abelian
+    category.
 
-    object_family = "presented"  # or "free"
+    Admissibility defaults to exactness in that ambient category, every
+    object defaults to projective (its identity is its cover), and the
+    admissible-arrow generators default to conjugated split data.
+    """
+
+    presented = True
 
     # -- object layer ---------------------------------------------------
 
@@ -135,14 +147,10 @@ class PresentedModel(ExactStructureModel):
         if not lattice_contains(cod.payload.relations, moved):
             raise PreconditionError("matrix does not respect the relation lattices")
 
-    # -- ambient lattice helpers (overridable backends) -------------------
-
-    def _preimage(self, m: IntMatrix, rel_cod: IntMatrix) -> IntMatrix:
-        """Basis of {x : m x in col(rel_cod)}."""
-        return preimage_basis(m, rel_cod)
+    # -- ambient lattice helpers -------------------------------------------
 
     def _kernel_lattice(self, f: MorphismHandle) -> IntMatrix:
-        return self._preimage(f.matrix, f.cod.payload.relations)
+        return preimage_basis(f.matrix, f.cod.payload.relations)
 
     def _image_lattice(self, f: MorphismHandle) -> IntMatrix:
         return column_hnf(IntMatrix.hstack(f.matrix, f.cod.payload.relations))
@@ -163,15 +171,13 @@ class PresentedModel(ExactStructureModel):
 
     def subobject(self, a: ObjectHandle, lattice_basis: IntMatrix) -> MorphismHandle:
         """Monic from the subgroup spanned by the basis columns into a."""
-        rel = self._preimage(lattice_basis, a.payload.relations)
+        rel = preimage_basis(lattice_basis, a.payload.relations)
         k, to_raw, _ = self._normalized(lattice_basis.cols, rel)
         return self.morphism(k, a, lattice_basis @ to_raw, check=False)
 
     def quotient_by(self, a: ObjectHandle, cols: IntMatrix) -> MorphismHandle:
         """Epic from a onto a / (columns + relations), Smith-canonical."""
         rel = IntMatrix.hstack(cols, a.payload.relations)
-        if self.object_family == "free":
-            rel = saturation(rel)
         c, _, from_raw = self._normalized(a.payload.ngens, rel)
         return self.morphism(a, c, from_raw, check=False)
 
@@ -190,26 +196,12 @@ class PresentedModel(ExactStructureModel):
             return None
 
     def analyze(self, f: MorphismHandle) -> Optional[Analysis]:
-        if self.policy == "AllKernelCokernel":
-            return self._analyze_ambient(f)
-        if self.policy == "ExactInAmbient":
-            im = column_hnf(f.matrix)
-            if saturation(f.matrix) != im:
-                return None
-            return self._analyze_ambient(f)
-        return self._analyze_split(f)
-
-    def _analyze_ambient(self, f: MorphismHandle) -> Optional[Analysis]:
         k = self.kernel(f)
         c = self.cokernel(f)
         if k is None or c is None:
             return None
-        if self.object_family == "presented":
-            im_basis = self._image_lattice(f)
-        else:
-            im_basis = column_hnf(f.matrix)
         try:
-            m = self.subobject(f.cod, im_basis)
+            m = self.subobject(f.cod, self._image_lattice(f))
         except PreconditionError:
             return None
         e = self.solve_right_factor(m, f)
@@ -217,7 +209,208 @@ class PresentedModel(ExactStructureModel):
             return None
         return Analysis(k, e, m, c)
 
-    def _analyze_split(self, f: MorphismHandle) -> Optional[Analysis]:
+    # -- admissibility -----------------------------------------------------
+
+    def is_iso(self, f: MorphismHandle) -> bool:
+        # bijective homomorphisms of finitely presented groups are invertible
+        return self._is_injective(f) and self._is_surjective(f)
+
+    def is_admissible_monic(self, f: MorphismHandle) -> bool:
+        return self._is_injective(f)
+
+    def is_admissible_epic(self, f: MorphismHandle) -> bool:
+        return self._is_surjective(f)
+
+    def is_short_exact(self, i: MorphismHandle, p: MorphismHandle) -> bool:
+        if i.cod != p.dom or not (p @ i).is_zero():
+            return False
+        return self._is_injective(i) and self._is_surjective(p) and \
+            lattice_equal(self._kernel_lattice(p), self._image_lattice(i))
+
+    # -- projectivity --------------------------------------------------------
+
+    def is_projective(self, a: ObjectHandle) -> bool:
+        return True
+
+    def projective_cover_epi(self, a: ObjectHandle) -> MorphismHandle:
+        return self.identity(a)
+
+    # -- random generators ----------------------------------------------------
+
+    def _rand_matrix(self, rng: random.Random, rows: int, cols: int, bound: int) -> IntMatrix:
+        return IntMatrix.from_rows(
+            [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)],
+            cols=cols)
+
+    def random_object(self, rng: random.Random, bounds: GenBounds) -> ObjectHandle:
+        n = rng.randrange(0, bounds.max_gens + 1)
+        r = rng.randrange(0, bounds.max_gens + 1)
+        return self.object(n, self._rand_matrix(rng, n, r, bounds.max_rel_entry))
+
+    @lru_cache(maxsize=4096)
+    def _hom_basis(self, a: PresentedObject, b: PresentedObject) -> IntMatrix:
+        """Columns are vectorized generators of Hom(a, b) inside matrix space."""
+        na, nb = a.ngens, b.ngens
+        ra = a.relations.cols
+        lhs = IntMatrix.kron(a.relations.transpose(), IntMatrix.identity(nb))
+        lat = IntMatrix.kron(IntMatrix.identity(ra), b.relations)
+        return preimage_basis(lhs, lat) if ra else IntMatrix.identity(na * nb)
+
+    def random_morphism(self, rng: random.Random, a: ObjectHandle,
+                        b: ObjectHandle) -> MorphismHandle:
+        na, nb = a.payload.ngens, b.payload.ngens
+        if na == 0 or nb == 0:
+            return self.zero_morphism(a, b)
+        basis = self._hom_basis(a.payload, b.payload)
+        vec = [0] * (na * nb)
+        for j in range(basis.cols):
+            c = rng.randint(-2, 2)
+            if c:
+                for i in range(na * nb):
+                    vec[i] += c * basis.entries[i][j]
+        m = IntMatrix(nb, na, tuple(tuple(vec[j * nb + i] for j in range(na))
+                                    for i in range(nb)))
+        return self.morphism(a, b, m, check=False)
+
+    def random_automorphism(self, rng: random.Random, a: ObjectHandle) -> MorphismHandle:
+        if a.payload.ngens == 0:
+            return self.identity(a)
+        one = self.identity(a)
+        for _ in range(6):
+            h = self.random_morphism(rng, a, a)
+            cand = one + h
+            if self.is_iso(cand):
+                return cand
+        return one
+
+    def random_admissible(self, rng: random.Random, bounds: GenBounds) -> MorphismHandle:
+        w = self.random_object(rng, bounds)
+        e = self.random_admissible_epic_onto(rng, w, bounds)
+        m = self.random_admissible_monic_from(rng, w, bounds)
+        return m @ e
+
+    def _random_summand(self, rng: random.Random, bounds: GenBounds) -> ObjectHandle:
+        """Random complement for the split-data generators."""
+        rng.randrange(0, bounds.max_gens + 1)   # unused rank draw, kept for seed stability
+        return self.random_object(rng, bounds)
+
+    def random_admissible_monic_from(self, rng: random.Random, a: ObjectHandle,
+                                     bounds: GenBounds) -> MorphismHandle:
+        bp = self.biproduct(a, self._random_summand(rng, bounds))
+        t, _ = self._random_shear_pair(rng, bp)
+        return t @ bp.inj1
+
+    def random_admissible_epic_onto(self, rng: random.Random, b: ObjectHandle,
+                                    bounds: GenBounds) -> MorphismHandle:
+        ext = self._random_summand(rng, bounds)
+        bp = self.biproduct(b, ext)
+        _, tinv = self._random_shear_pair(rng, bp)
+        w = self.random_morphism(rng, ext, b)
+        p = bp.proj1 + (w @ bp.proj2)
+        return p @ tinv
+
+
+class FgabModel(PresentedModel):
+    """Finitely generated abelian groups with all kernel-cokernel pairs."""
+
+    model_id = "fgab"
+    abelian = True
+
+    def is_projective(self, a: ObjectHandle) -> bool:
+        return not self.iso_invariants(a).torsion_factors
+
+    def projective_cover_epi(self, a: ObjectHandle) -> MorphismHandle:
+        n = a.payload.ngens
+        return self.morphism(self.object(n), a, IntMatrix.identity(n), check=False)
+
+    def random_ses(self, rng: random.Random, bounds: GenBounds) -> ShortExactSequence:
+        b = self.random_object(rng, bounds)
+        extra = self._rand_matrix(rng, b.payload.ngens,
+                                  rng.randrange(0, bounds.max_gens + 1), 3)
+        i = self.subobject(b, column_hnf(IntMatrix.hstack(extra, b.payload.relations)))
+        return ShortExactSequence(i, self.cokernel(i))
+
+    def random_admissible(self, rng: random.Random, bounds: GenBounds) -> MorphismHandle:
+        a = self.random_object(rng, bounds)
+        b = self.random_object(rng, bounds)
+        return self.random_morphism(rng, a, b)
+
+    def random_admissible_monic_from(self, rng: random.Random, a: ObjectHandle,
+                                     bounds: GenBounds) -> MorphismHandle:
+        # a general (not necessarily split) monic
+        r = rng.randrange(0, bounds.max_gens + 1)
+        n = a.payload.ngens
+        u = self._rand_matrix(rng, n, r, 2)
+        v = IntMatrix.from_rows(
+            [[rng.choice([1, 1, 2, 3]) if i == j else (rng.randint(-2, 2) if i < j else 0)
+              for j in range(r)] for i in range(r)], cols=r)
+        rel = IntMatrix.vstack(
+            IntMatrix.hstack(a.payload.relations, u),
+            IntMatrix.hstack(IntMatrix.zeros(r, a.payload.relations.cols), v))
+        x = self.object(n + r, rel)
+        inj = IntMatrix.vstack(IntMatrix.identity(n), IntMatrix.zeros(r, n))
+        return self.morphism(a, x, inj, check=False)
+
+    def random_admissible_epic_onto(self, rng: random.Random, b: ObjectHandle,
+                                    bounds: GenBounds) -> MorphismHandle:
+        # quotient of free(n) + R by part of the kernel of the candidate
+        # epic [I | w].  The kernel of [I | w] modulo rel(b) is generated by
+        # the structured columns below, so no Hermite pass (and no entry
+        # blowup) is needed.
+        r = rng.randrange(0, bounds.max_gens + 1)
+        n = b.payload.ngens
+        rel = b.payload.relations
+        w = self._rand_matrix(rng, n, r, 2)
+        phat = IntMatrix.hstack(IntMatrix.identity(n), w)
+        gens = IntMatrix.vstack(
+            IntMatrix.hstack(-w, rel),
+            IntMatrix.block_diag(IntMatrix.identity(r),
+                                 IntMatrix.zeros(0, rel.cols)))
+        take = [j for j in range(gens.cols) if rng.random() < 0.6]
+        x = self.object(n + r, gens.take_columns(take))
+        return self.morphism(x, b, phat, check=False)
+
+
+class VectModel(FgabModel):
+    """Finite-dimensional vector spaces over the prime field F_p.
+
+    Objects reuse the presented-group grid with relations p * I, so this is
+    the full abelian subcategory of fgab on the elementary abelian p-groups.
+    """
+
+    def __init__(self, p: int):
+        try:
+            _check_prime(p)
+        except ValueError as exc:
+            raise PreconditionError(str(exc)) from exc
+        self.p = p
+        self.model_id = f"vect({p})"
+
+    def validate_object(self, payload: object) -> None:
+        super().validate_object(payload)
+        inv = _invariants_of(payload)
+        if inv.free_rank or any(t != self.p for t in inv.torsion_factors):
+            raise PreconditionError(f"object is not an F_{self.p} vector space")
+
+    def object(self, ngens: int, relations: Optional[IntMatrix] = None) -> ObjectHandle:
+        if relations is None:
+            relations = IntMatrix.diagonal([self.p] * ngens)
+        return self._obj(PresentedObject(ngens, relations))
+
+    def random_object(self, rng: random.Random, bounds: GenBounds) -> ObjectHandle:
+        return self.object(rng.randrange(0, bounds.max_gens + 1))
+
+    # over a field every object is projective and every monic splits
+    is_projective = PresentedModel.is_projective
+    random_admissible_monic_from = PresentedModel.random_admissible_monic_from
+    random_admissible_epic_onto = PresentedModel.random_admissible_epic_onto
+
+
+class SplitModel(PresentedModel):
+    """The split exact structure: admissibility is decided by solving for
+    splitting witnesses, and analyses come from splitting idempotents."""
+
+    def analyze(self, f: MorphismHandle) -> Optional[Analysis]:
         # f factors split-epic-then-split-monic iff f is regular
         # (f g f = f for some morphism g) and the idempotents g f, f g
         # split in the model; the analysis falls out of the splitting data.
@@ -249,28 +442,13 @@ class PresentedModel(ExactStructureModel):
     def _idempotent_image_monic(self, a: ObjectHandle,
                                 w: MorphismHandle) -> Optional[MorphismHandle]:
         """Monic from the image of the idempotent w on a, if it is an object."""
-        if self.object_family == "free":
-            basis = column_hnf(w.matrix)
-        else:
-            basis = self._image_lattice(w)
         try:
-            return self.subobject(a, basis)
+            return self.subobject(a, self._image_lattice(w))
         except PreconditionError:
             return None
 
-    # -- admissibility -----------------------------------------------------
-
-    def is_iso(self, f: MorphismHandle) -> bool:
-        # bijective homomorphisms of finitely presented groups are invertible
-        return self._is_injective(f) and self._is_surjective(f)
-
     def is_admissible_monic(self, f: MorphismHandle) -> bool:
-        if self.policy == "AllKernelCokernel":
-            return self._is_injective(f)
-        if self.policy == "ExactInAmbient":
-            return self._is_injective(f) and \
-                all(d == 1 for d in smith_normal_form(f.matrix).invariant_factors)
-        # split policies: a left inverse must exist
+        # a left inverse must exist
         sys = MorphismSystem(self)
         sys.unknown_morphism("s", f.cod, f.dom)
         sys.equation([("s", IntMatrix.identity(f.matrix.cols), f.matrix)],
@@ -278,8 +456,6 @@ class PresentedModel(ExactStructureModel):
         return sys.solve() is not None
 
     def is_admissible_epic(self, f: MorphismHandle) -> bool:
-        if self.policy in ("AllKernelCokernel", "ExactInAmbient"):
-            return self._is_surjective(f)
         sys = MorphismSystem(self)
         sys.unknown_morphism("t", f.cod, f.dom)
         sys.equation([("t", f.matrix, IntMatrix.identity(f.matrix.rows))],
@@ -287,15 +463,10 @@ class PresentedModel(ExactStructureModel):
         return sys.solve() is not None
 
     def is_short_exact(self, i: MorphismHandle, p: MorphismHandle) -> bool:
-        if i.cod != p.dom:
+        if i.cod != p.dom or not (p @ i).is_zero():
             return False
-        if not (p @ i).is_zero():
-            return False
-        if self.policy in ("AllKernelCokernel", "ExactInAmbient"):
-            return self._is_injective(i) and self._is_surjective(p) and \
-                lattice_equal(self._kernel_lattice(p), self._image_lattice(i))
-        # split policies: one witness pair (s, t) with s i = 1, p t = 1,
-        # i s + t p = 1 decides exactness
+        # one witness pair (s, t) with s i = 1, p t = 1, i s + t p = 1
+        # decides exactness
         na = i.matrix.cols
         nb = i.matrix.rows
         nc = p.matrix.rows
@@ -311,190 +482,79 @@ class PresentedModel(ExactStructureModel):
                      IntMatrix.identity(nb), cod=i.cod)
         return sys.solve() is not None
 
-    # -- projectivity --------------------------------------------------------
+    def random_ses(self, rng: random.Random, bounds: GenBounds) -> ShortExactSequence:
+        a = self.random_object(rng, bounds)
+        c = self.random_object(rng, bounds)
+        bp = self.biproduct(a, c)
+        t, tinv = self._random_shear_pair(rng, bp)
+        return ShortExactSequence(t @ bp.inj1, bp.proj2 @ tinv)
 
-    def is_projective(self, a: ObjectHandle) -> bool:
-        if self.policy == "AllKernelCokernel" and self.object_family == "presented" \
-                and not isinstance(self, VectModel):
-            return not self.iso_invariants(a).torsion_factors
-        return True
 
-    def projective_cover_epi(self, a: ObjectHandle) -> MorphismHandle:
-        n = a.payload.ngens
-        if self.policy == "AllKernelCokernel" and not isinstance(self, VectModel) \
-                and self.object_family == "presented":
-            p = self.object(n)
-        elif isinstance(self, VectModel):
-            p = self.object(n, IntMatrix.diagonal([self.p] * n))
-        else:
-            p = a
-        return self.morphism(p, a, IntMatrix.identity(n), check=False)
+class FgabSplitModel(SplitModel):
+    """Presented abelian groups with the split exact structure."""
 
-    # -- random generators ----------------------------------------------------
+    model_id = "fgab_split"
 
-    def _rand_matrix(self, rng: random.Random, rows: int, cols: int, bound: int) -> IntMatrix:
-        return IntMatrix.from_rows(
-            [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)],
-            cols=cols)
+
+class FreeExactModel(PresentedModel):
+    """F.g. free abelian groups; exact structure = exact in ambient abelian groups."""
+
+    model_id = "free_exact"
+
+    def validate_object(self, payload: object) -> None:
+        super().validate_object(payload)
+        if payload.relations.cols != 0:
+            raise PreconditionError(f"{self.model_id} objects are free (no relations)")
+
+    def quotient_by(self, a: ObjectHandle, cols: IntMatrix) -> MorphismHandle:
+        # quotients of free groups stay free: divide by the saturation
+        return super().quotient_by(a, saturation(cols))
+
+    def analyze(self, f: MorphismHandle) -> Optional[Analysis]:
+        if saturation(f.matrix) != column_hnf(f.matrix):
+            return None
+        return super().analyze(f)
+
+    def is_admissible_monic(self, f: MorphismHandle) -> bool:
+        return self._is_injective(f) and \
+            all(d == 1 for d in smith_normal_form(f.matrix).invariant_factors)
 
     def random_object(self, rng: random.Random, bounds: GenBounds) -> ObjectHandle:
-        if self.object_family == "free":
-            r = rng.randrange(0, bounds.max_gens + 1)
-            if self.policy == "EvenRankSplit":
-                r = 2 * rng.randrange(0, bounds.max_gens // 2 + 1)
-            return self.object(r)
-        n = rng.randrange(0, bounds.max_gens + 1)
-        r = rng.randrange(0, bounds.max_gens + 1)
-        return self.object(n, self._rand_matrix(rng, n, r, bounds.max_rel_entry))
+        return self.object(rng.randrange(0, bounds.max_gens + 1))
 
-    @lru_cache(maxsize=4096)
-    def _hom_basis(self, a: PresentedObject, b: PresentedObject) -> IntMatrix:
-        """Columns are vectorized generators of Hom(a, b) inside matrix space."""
-        na, nb = a.ngens, b.ngens
-        ra = a.relations.cols
-        lhs = IntMatrix.kron(a.relations.transpose(), IntMatrix.identity(nb))
-        lat = IntMatrix.kron(IntMatrix.identity(ra), b.relations)
-        return preimage_basis(lhs, lat) if ra else IntMatrix.identity(na * nb)
+    def _random_summand(self, rng: random.Random, bounds: GenBounds) -> ObjectHandle:
+        return self.random_object(rng, bounds)
 
     def random_morphism(self, rng: random.Random, a: ObjectHandle,
                         b: ObjectHandle) -> MorphismHandle:
         na, nb = a.payload.ngens, b.payload.ngens
         if na == 0 or nb == 0:
             return self.zero_morphism(a, b)
-        if self.object_family == "free":
-            return self.morphism(a, b, self._rand_matrix(rng, nb, na, 3), check=False)
-        basis = self._hom_basis(a.payload, b.payload)
-        vec = [0] * (na * nb)
-        for j in range(basis.cols):
-            c = rng.randint(-2, 2)
-            if c:
-                for i in range(na * nb):
-                    vec[i] += c * basis.entries[i][j]
-        m = IntMatrix(nb, na, tuple(tuple(vec[j * nb + i] for j in range(na))
-                                    for i in range(nb)))
-        return self.morphism(a, b, m, check=False)
+        return self.morphism(a, b, self._rand_matrix(rng, nb, na, 3), check=False)
 
     def random_automorphism(self, rng: random.Random, a: ObjectHandle) -> MorphismHandle:
         n = a.payload.ngens
         if n == 0:
             return self.identity(a)
-        if self.object_family == "free":
-            m = IntMatrix.identity(n)
-            for _ in range(rng.randrange(1, 2 * n + 2)):
-                i, j = rng.randrange(n), rng.randrange(n)
-                if i == j:
-                    continue
-                e = IntMatrix.from_rows(
-                    [[1 if r == c else (rng.choice([-2, -1, 1, 2]) if (r, c) == (i, j) else 0)
-                      for c in range(n)] for r in range(n)])
-                m = m @ e
-            return self.morphism(a, a, m, check=False)
-        one = self.identity(a)
-        for _ in range(6):
-            h = self.random_morphism(rng, a, a)
-            cand = one + h
-            if self.is_iso(cand):
-                return cand
-        return one
-
-    def _conjugated_split_ses(self, rng: random.Random, a: ObjectHandle,
-                              c: ObjectHandle) -> ShortExactSequence:
-        bp = self.biproduct(a, c)
-        t, tinv = self._random_shear_pair(rng, bp)
-        return ShortExactSequence(t @ bp.inj1, bp.proj2 @ tinv)
+        m = IntMatrix.identity(n)
+        for _ in range(rng.randrange(1, 2 * n + 2)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            if i == j:
+                continue
+            e = IntMatrix.from_rows(
+                [[1 if r == c else (rng.choice([-2, -1, 1, 2]) if (r, c) == (i, j) else 0)
+                  for c in range(n)] for r in range(n)])
+            m = m @ e
+        return self.morphism(a, a, m, check=False)
 
     def random_ses(self, rng: random.Random, bounds: GenBounds) -> ShortExactSequence:
-        if self.policy in ("SplitOnly", "EvenRankSplit"):
-            a = self.random_object(rng, bounds)
-            c = self.random_object(rng, bounds)
-            return self._conjugated_split_ses(rng, a, c)
-        if self.policy == "ExactInAmbient":
-            b = self.random_object(rng, bounds)
-            cols = self._rand_matrix(rng, b.payload.ngens,
-                                     rng.randrange(0, bounds.max_gens + 1), 3)
-            i = self.subobject(b, saturation(cols))
-            p = self.cokernel(i)
-            return ShortExactSequence(i, p)
         b = self.random_object(rng, bounds)
-        extra = self._rand_matrix(rng, b.payload.ngens,
-                                  rng.randrange(0, bounds.max_gens + 1), 3)
-        sub = column_hnf(IntMatrix.hstack(extra, b.payload.relations))
-        i = self.subobject(b, sub)
-        p = self.cokernel(i)
-        return ShortExactSequence(i, p)
-
-    def random_admissible(self, rng: random.Random, bounds: GenBounds) -> MorphismHandle:
-        if self.policy == "AllKernelCokernel":
-            a = self.random_object(rng, bounds)
-            b = self.random_object(rng, bounds)
-            return self.random_morphism(rng, a, b)
-        w = self.random_object(rng, bounds)
-        e = self.random_admissible_epic_onto(rng, w, bounds)
-        m = self.random_admissible_monic_from(rng, w, bounds)
-        return m @ e
-
-    @property
-    def _split_generators(self) -> bool:
-        """Generators that stay in the model by building split data."""
-        return self.object_family == "free" or self.policy == "SplitOnly" \
-            or isinstance(self, VectModel)
-
-    def random_admissible_monic_from(self, rng: random.Random, a: ObjectHandle,
-                                     bounds: GenBounds) -> MorphismHandle:
-        r = rng.randrange(0, bounds.max_gens + 1)
-        if self.policy == "EvenRankSplit":
-            r = 2 * rng.randrange(0, bounds.max_gens // 2 + 1)
-        if self._split_generators:
-            ext = self.object(r) if self.object_family == "free" else \
-                self.random_object(rng, bounds)
-            bp = self.biproduct(a, ext)
-            t, _ = self._random_shear_pair(rng, bp)
-            return t @ bp.inj1
-        # presented abelian model: a general (not necessarily split) monic
-        n = a.payload.ngens
-        u = self._rand_matrix(rng, n, r, 2)
-        v = IntMatrix.from_rows(
-            [[rng.choice([1, 1, 2, 3]) if i == j else (rng.randint(-2, 2) if i < j else 0)
-              for j in range(r)] for i in range(r)], cols=r)
-        rel = IntMatrix.vstack(
-            IntMatrix.hstack(a.payload.relations, u),
-            IntMatrix.hstack(IntMatrix.zeros(r, a.payload.relations.cols), v))
-        x = self.object(n + r, rel)
-        inj = IntMatrix.vstack(IntMatrix.identity(n), IntMatrix.zeros(r, n))
-        return self.morphism(a, x, inj, check=False)
-
-    def random_admissible_epic_onto(self, rng: random.Random, b: ObjectHandle,
-                                    bounds: GenBounds) -> MorphismHandle:
-        r = rng.randrange(0, bounds.max_gens + 1)
-        if self.policy == "EvenRankSplit":
-            r = 2 * rng.randrange(0, bounds.max_gens // 2 + 1)
-        if self._split_generators:
-            ext = self.object(r) if self.object_family == "free" else \
-                self.random_object(rng, bounds)
-            bp = self.biproduct(b, ext)
-            _, tinv = self._random_shear_pair(rng, bp)
-            w = self.random_morphism(rng, ext, b)
-            p = bp.proj1 + (w @ bp.proj2)
-            return p @ tinv
-        # presented abelian model: quotient of free(n) + R by part of the
-        # kernel of the candidate epic [I | w].  The kernel of [I | w]
-        # modulo rel(b) is generated by the structured columns below, so no
-        # Hermite pass (and no entry blowup) is needed.
-        n = b.payload.ngens
-        rel = b.payload.relations
-        w = self._rand_matrix(rng, n, r, 2)
-        phat = IntMatrix.hstack(IntMatrix.identity(n), w)
-        gens = IntMatrix.vstack(
-            IntMatrix.hstack(-w, rel),
-            IntMatrix.block_diag(IntMatrix.identity(r),
-                                 IntMatrix.zeros(0, rel.cols)))
-        take = [j for j in range(gens.cols) if rng.random() < 0.6]
-        x = self.object(n + r, gens.take_columns(take))
-        return self.morphism(x, b, phat, check=False)
+        cols = self._rand_matrix(rng, b.payload.ngens,
+                                 rng.randrange(0, bounds.max_gens + 1), 3)
+        i = self.subobject(b, saturation(cols))
+        return ShortExactSequence(i, self.cokernel(i))
 
     def random_idempotent(self, rng: random.Random, a: ObjectHandle) -> MorphismHandle:
-        if self.object_family != "free":
-            raise PreconditionError("random idempotents are generated on free models")
         n = a.payload.ngens
         k = rng.randrange(0, n + 1)
         proj = IntMatrix.diagonal([1] * k, rows=n, cols=n)
@@ -502,98 +562,37 @@ class PresentedModel(ExactStructureModel):
         return self.morphism(a, a, t.matrix @ proj @ unimodular_inverse(t.matrix),
                              check=False)
 
+    def random_split_pair(self, rng: random.Random,
+                          bounds: GenBounds) -> tuple[ObjectHandle, MorphismHandle]:
+        a = self.random_object(rng, bounds)
+        return a, self.random_idempotent(rng, a)
 
-class FgabModel(PresentedModel):
-    """Finitely generated abelian groups with all kernel-cokernel pairs."""
-
-    model_id = "fgab"
-    policy = "AllKernelCokernel"
-    idempotent_complete = True
-    weakly_idempotent_complete = True
-
-
-class FgabSplitModel(PresentedModel):
-    """Presented abelian groups with the split exact structure."""
-
-    model_id = "fgab_split"
-    policy = "SplitOnly"
-    idempotent_complete = True
-    weakly_idempotent_complete = True
+    def idempotent_edge(self) -> Optional[tuple[ObjectHandle, MorphismHandle]]:
+        # the canonical rank-one coordinate projection on a rank-two object
+        host = self.object(2)
+        return host, self.morphism(host, host, IntMatrix.diagonal([1, 0]), check=False)
 
 
-class VectModel(PresentedModel):
-    """Finite-dimensional vector spaces over the prime field F_p.
-
-    Objects reuse the presented-group grid with relations p * I; solving is
-    routed through Gaussian elimination modulo p.
-    """
-
-    policy = "AllKernelCokernel"
-    idempotent_complete = True
-    weakly_idempotent_complete = True
-
-    def __init__(self, p: int):
-        try:
-            _check_prime(p)
-        except ValueError as exc:
-            raise PreconditionError(str(exc)) from exc
-        self.p = p
-        self.model_id = f"vect({p})"
-
-    def validate_object(self, payload: object) -> None:
-        super().validate_object(payload)
-        inv = _invariants_of(payload)
-        if inv.free_rank or any(t != self.p for t in inv.torsion_factors):
-            raise PreconditionError(f"object is not an F_{self.p} vector space")
-
-    def object(self, ngens: int, relations: Optional[IntMatrix] = None) -> ObjectHandle:
-        if relations is None:
-            relations = IntMatrix.diagonal([self.p] * ngens)
-        return self._obj(PresentedObject(ngens, relations))
-
-    def _preimage(self, m: IntMatrix, rel_cod: IntMatrix) -> IntMatrix:
-        k = kernel_mod_p(m, self.p)
-        pid = IntMatrix.diagonal([self.p] * m.cols)
-        return column_hnf(IntMatrix.hstack(k, pid))
-
-    def random_object(self, rng: random.Random, bounds: GenBounds) -> ObjectHandle:
-        return self.object(rng.randrange(0, bounds.max_gens + 1))
-
-
-class FreeExactModel(PresentedModel):
-    """F.g. free abelian groups; exact structure = exact in ambient abelian groups."""
-
-    model_id = "free_exact"
-    policy = "ExactInAmbient"
-    object_family = "free"
-    idempotent_complete = True
-    weakly_idempotent_complete = True
-
-    def validate_object(self, payload: object) -> None:
-        super().validate_object(payload)
-        if payload.relations.cols != 0:
-            raise PreconditionError(f"{self.model_id} objects are free (no relations)")
-
-
-class FreeSplitModel(FreeExactModel):
+class FreeSplitModel(SplitModel, FreeExactModel):
     """F.g. free abelian groups with the split exact structure."""
 
     model_id = "free_split"
-    policy = "SplitOnly"
 
 
 class EvenRankSplitModel(FreeSplitModel):
     """Even-rank free groups, split structure: WIC but not idempotent complete."""
 
     model_id = "even_rank_split"
-    policy = "EvenRankSplit"
     idempotent_complete = False
-    weakly_idempotent_complete = True
 
     def validate_object(self, payload: object) -> None:
         super().validate_object(payload)
         if payload.ngens % 2:
             raise PreconditionError("even_rank_split objects have even rank")
+
+    def random_object(self, rng: random.Random, bounds: GenBounds) -> ObjectHandle:
+        rng.randrange(0, bounds.max_gens + 1)   # unused free-rank draw, kept for seed stability
+        return self.object(2 * rng.randrange(0, bounds.max_gens // 2 + 1))
 
 
 @lru_cache(maxsize=None)

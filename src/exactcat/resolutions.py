@@ -34,7 +34,7 @@ from .complexes import (
     _homology_data,
 )
 from .diagrams import is_exact_pair
-from .intlinalg import IntMatrix, MatrixEquationSystem, preimage_basis
+from .intlinalg import IntMatrix, preimage_basis, solve_columns_mod_lattice
 from .kernel import (
     InternalCheckError,
     MorphismHandle,
@@ -137,9 +137,9 @@ def random_cover(rng: random.Random, pad_levels: int = 2, max_extra: int = 2,
             return base
         state["level"] += 1
         extra = rng.randrange(0, max_extra + 1)
-        if extra == 0:
+        if extra == 0 or not model.presented:
             return base
-        pad = model.object(extra) if hasattr(model, "object") else None
+        pad = model.object(extra)
         bp = model.biproduct(base.dom, pad)
         w = model._rand_matrix(rng, base.matrix.rows, extra, entry_bound)
         wmor = model.morphism(pad, a, w, check=False)
@@ -280,8 +280,8 @@ def projective_replacement(x: ChainComplex, max_extra: int = 8,
     B_n as its acyclicity certificate.
     """
     model = x.model
-    if model.policy != "AllKernelCokernel":
-        raise PreconditionError("projective replacement runs over abelian-style models")
+    if not model.abelian:
+        raise PreconditionError("projective replacement runs over abelian models")
     cover = cover or model.projective_cover_epi
     if not x.components:
         empty = chain_complex(model, 0, [], [], check=False)
@@ -353,15 +353,9 @@ class HomStructure:
 
     def coords(self, vecs: IntMatrix) -> Optional[IntMatrix]:
         """Hom-object coordinates of columnwise-vec'd morphism matrices."""
-        n = self.dst.payload.ngens
         nmat = IntMatrix.kron(IntMatrix.identity(self.src.payload.ngens),
                               self.dst.payload.relations)
-        sys = MatrixEquationSystem()
-        sys.unknown("c", self.ob.payload.ngens, vecs.cols)
-        sys.equation([("c", self.basis, IntMatrix.identity(vecs.cols))], vecs,
-                     mod=nmat)
-        sol = sys.solve()
-        return sol["c"] if sol is not None else None
+        return solve_columns_mod_lattice(self.basis, vecs, nmat)
 
 
 def _vec(m: IntMatrix) -> IntMatrix:
@@ -377,14 +371,8 @@ def _vec_many(ms) -> IntMatrix:
 @lru_cache(maxsize=4096)
 def hom_structure(src: ObjectHandle, dst: ObjectHandle) -> HomStructure:
     model = src.model
-    ns, nd = src.payload.ngens, dst.payload.ngens
-    rs = src.payload.relations
-    if rs.cols:
-        lhs = IntMatrix.kron(rs.transpose(), IntMatrix.identity(nd))
-        lat = IntMatrix.kron(IntMatrix.identity(rs.cols), dst.payload.relations)
-        k = preimage_basis(lhs, lat)
-    else:
-        k = IntMatrix.identity(nd * ns)
+    ns = src.payload.ngens
+    k = model._hom_basis(src.payload, dst.payload)
     nmat = IntMatrix.kron(IntMatrix.identity(ns), dst.payload.relations)
     rel = preimage_basis(k, nmat) if k.cols else IntMatrix.zeros(0, 0)
     ob, to_raw, _ = model._normalized(k.cols, rel)
@@ -401,8 +389,8 @@ class FunctorSpec:
     def __post_init__(self):
         if self.variant not in ("tensor", "hom_from", "hom_into"):
             raise PreconditionError(f"unknown functor variant {self.variant!r}")
-        if self.target.model.policy != "AllKernelCokernel":
-            raise PreconditionError("functor targets live in an abelian-style model")
+        if not (self.target.model.abelian and self.target.model.presented):
+            raise PreconditionError("functor targets need an abelian model of presented groups")
 
     @property
     def contravariant(self) -> bool:
@@ -516,16 +504,11 @@ def _connecting_map(inj: ChainMap, proj: ChainMap, sections: dict[int, MorphismH
     lifted = section.matrix @ quot_data.cycles
     moved = mid.differential(n).matrix @ lifted
     # moved lands in the image of inj degreewise; pull it back columnwise
-    sys = MatrixEquationSystem()
-    sub_gens = inj.source.component(n + 1).payload.ngens
-    sys.unknown("v", sub_gens, moved.cols)
-    sys.equation([("v", inj.component(n + 1).matrix,
-                   IntMatrix.identity(moved.cols))], moved,
-                 mod=mid.component(n + 1).payload.relations)
-    sol = sys.solve()
-    if sol is None:
+    v = solve_columns_mod_lattice(inj.component(n + 1).matrix, moved,
+                                  mid.component(n + 1).payload.relations)
+    if v is None:
         raise InternalCheckError("zig-zag lift through the subcomplex is missing")
-    coords = sub_data.coords_of_cycle(sol["v"])
+    coords = sub_data.coords_of_cycle(v)
     if coords is None:
         raise InternalCheckError("zig-zag image is not a cycle")
     return model.morphism(quot_data.ob, sub_data.ob, coords, check=True)

@@ -96,6 +96,24 @@ def test_exit_code_precondition(tmp_path):
     assert code == 3
 
 
+def test_homology_on_completion_is_precondition(tmp_path, capsys):
+    # homology needs presented objects, which completion objects are not
+    doc = {
+        "version": "exactcat/1",
+        "model": {"kind": "completion", "base": {"kind": "fgab"}},
+        "objects": {"Z": {
+            "base": {"ngens": 1, "relations": {"rows": 1, "cols": 0, "entries": [[]]}},
+            "idempotent": {"rows": 1, "cols": 1, "entries": [[1]]}}},
+        "complexes": {"X": {"lo": 0, "components": ["Z", "Z"],
+                            "differentials": [{"rows": 1, "cols": 1, "entries": [[2]]}]}},
+    }
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _ = run_cli("homology", str(path), "X")
+    assert code == 3
+    assert "abelian model of presented groups" in capsys.readouterr().err
+
+
 def test_exit_code_law_failure():
     code, out = run_cli("--json", "check", "--model", "even_rank_split",
                         "--suite", "nh_acyclic", "--iters", "3")

@@ -17,6 +17,7 @@ from exactcat.intlinalg import (
     saturation,
     smith_normal_form,
     solve_integer,
+    solve_columns_mod_lattice,
     solve_mod_lattice,
     solve_mod_p,
     unimodular_inverse,
@@ -293,3 +294,30 @@ def test_matrix_equation_system_congruence():
     sys2.unknown("s", 1, 1)
     sys2.equation([("s", one, two)], one, mod=IntMatrix.from_rows([[6]]))
     assert sys2.solve() is None
+
+
+
+def test_solve_columns_mod_lattice_matches_assembled_system():
+    # Oracle: the Kronecker-assembled MatrixEquationSystem for A X = C mod L.
+    rng = random.Random(17)
+
+    def rand(rows, cols, bound):
+        return IntMatrix.from_rows([[rng.randint(-bound, bound) for _ in range(cols)]
+                                    for _ in range(rows)], cols=cols)
+
+    for _ in range(60):
+        rows = rng.randint(1, 3)
+        a = rand(rows, rng.randint(0, 3), 3)
+        lat = rand(rows, rng.randint(0, 2), 4)
+        c = rand(rows, rng.randint(0, 3), 5)
+        sys = MatrixEquationSystem()
+        sys.unknown("x", a.cols, c.cols)
+        sys.equation([("x", a, IntMatrix.identity(c.cols))], c, mod=lat)
+        expected = sys.solve()
+        x = solve_columns_mod_lattice(a, c, lat)
+        assert (x is None) == (expected is None)
+        if x is not None:
+            assert (x.rows, x.cols) == (a.cols, c.cols)
+            resid = a @ x - c
+            assert all(solve_integer(lat, resid.column_at(j)) is not None
+                       for j in range(c.cols))

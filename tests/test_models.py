@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from exactcat.intlinalg import IntMatrix
+from exactcat.intlinalg import IntMatrix, column_hnf, kernel_mod_p
 from exactcat.kernel import GenBounds, PreconditionError
 from exactcat.models import (
     cyclic,
@@ -255,3 +255,18 @@ def test_analysis_factorization_unique_up_to_iso():
         comp = m.solve_right_factor(an2.image_monic, an1.image_monic)
         assert comp is not None and m.is_iso(comp)
         assert (an2.image_monic @ comp).same_as(an1.image_monic)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_vect_kernel_lattice_matches_mod_p_elimination(p):
+    # the generic lattice preimage agrees with Gaussian elimination mod p
+    rng = random.Random(p)
+    model = vect_model(p)
+    for _ in range(25):
+        n, k = rng.randint(0, 4), rng.randint(0, 4)
+        m = IntMatrix.from_rows([[rng.randint(-2 * p, 2 * p) for _ in range(n)]
+                                 for _ in range(k)], cols=n)
+        f = model.morphism(vect(n, p), vect(k, p), m)
+        expected = column_hnf(IntMatrix.hstack(kernel_mod_p(m, p),
+                                               IntMatrix.diagonal([p] * n)))
+        assert model._kernel_lattice(f) == expected

@@ -1,15 +1,25 @@
 import math
 import random
 
+import pytest
+
 from exactcat.complexes import (
     chain_complex,
     find_null_homotopy,
     is_acyclic,
     mapping_cone,
 )
+from exactcat.completion import complete
 from exactcat.intlinalg import IntMatrix
-from exactcat.kernel import GenBounds, ShortExactSequence
-from exactcat.models import cyclic, fgab, fgab_object, free, iso_invariants
+from exactcat.kernel import GenBounds, PreconditionError, ShortExactSequence
+from exactcat.models import (
+    cyclic,
+    even_rank_split,
+    fgab,
+    fgab_object,
+    free,
+    iso_invariants,
+)
 from exactcat.resolutions import (
     FunctorSpec,
     compare_lift,
@@ -90,12 +100,16 @@ def test_resolution_of_mixed():
 
 
 def test_random_resolutions_valid():
-    rng = random.Random(30)
-    for _ in range(15):
-        a = M.random_object(rng, B)
-        res = random_resolution(a, rng)
-        assert not res.truncated
-        assert is_acyclic(res.augmented_complex()) is not None
+    # completion objects get unpadded covers (no object(ngens) to pad with)
+    small = GenBounds(max_gens=3)
+    for model, bounds, count in ((M, B, 15), (complete(fgab()), small, 10),
+                                 (complete(even_rank_split()), small, 10)):
+        rng = random.Random(30)
+        for _ in range(count):
+            a = model.random_object(rng, bounds)
+            res = random_resolution(a, rng)
+            assert not res.truncated
+            assert is_acyclic(res.augmented_complex()) is not None
 
 
 # -- comparison theorem ------------------------------------------------------
@@ -362,6 +376,14 @@ def test_functor_additivity():
             rhs = M.add(spec.apply_morphism(f), spec.apply_morphism(g))
             assert lhs.same_as(rhs)
             assert spec.apply_morphism(M.zero_morphism(a, b)).is_zero()
+
+
+def test_functor_target_needs_abelian_presented_model():
+    # completion(fgab) is abelian but its objects are not presentations
+    target = complete(fgab()).embed(cyclic(4))
+    for variant in ("tensor", "hom_from", "hom_into"):
+        with pytest.raises(PreconditionError, match="abelian model of presented groups"):
+            FunctorSpec(variant, target)
 
 
 def test_hom_structure_concrete():
