@@ -21,7 +21,6 @@ from .kernel import (
     GenBounds,
     InternalCheckError,
     MorphismHandle,
-    MorphismSystem,
     NotAdmissible,
     PreconditionError,
     PushoutResult,
@@ -378,15 +377,9 @@ def snake(m: SesMorphism) -> SnakeResult:
     rho = model.solve_left_factor(q, ca_arrow @ bp.proj2)
     psi = model.solve_left_factor(af1.cokernel_arrow, rho)
     _require(psi is not None and model.is_iso(psi), "Coker(A -> D) does not match Coker a")
-    sysu = MorphismSystem(model)
-    sysu.unknown_morphism("u", kc_arrow.dom, e_d.dom)
-    sysu.equation([("u", e_d.matrix, IntMatrix.identity(kc_arrow.matrix.cols))],
-                  kc_arrow.matrix, cod=e_d.cod)
-    sysu.equation([("u", b2.matrix, IntMatrix.identity(kc_arrow.matrix.cols))],
-                  model.zero_morphism(kc_arrow.dom, b2.cod).matrix, cod=b2.cod)
-    solu = sysu.solve()
-    _require(solu is not None, "Ker c does not lift to D")
-    chi = model.solve_right_factor(ab2.kernel_arrow, solu["u"])
+    # Ker c lifts to u: Ker c -> D with e_d u = kc and b2 u = 0 exactly when
+    # u = ker(b2) chi with e_d ker(b2) chi = kc, so solve for chi directly
+    chi = model.solve_right_factor(e_d @ ab2.kernel_arrow, kc_arrow)
     _require(chi is not None and model.is_iso(chi), "Ker c does not match Ker(D -> B)")
 
     delta = psi @ kc.arrows[2] @ chi

@@ -16,6 +16,7 @@ from .complexes import ChainComplex, chain_complex
 from .diagrams import SesMorphism, ses_morphism
 from .intlinalg import IntMatrix
 from .kernel import (
+    ComposabilityError,
     ExactStructureModel,
     MorphismHandle,
     ObjectHandle,
@@ -341,7 +342,8 @@ def document_from_jsonable(data) -> Document:
         raise
     except KeyError as exc:
         raise ParseError(f"missing field {exc}") from exc
-    except Exception as exc:
+    except (ComposabilityError, AttributeError, IndexError, TypeError, ValueError) as exc:
+        # malformed shapes and types; a violated precondition propagates
         raise ParseError(f"document failed validation: {exc}") from exc
     return doc
 

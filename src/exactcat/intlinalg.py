@@ -484,9 +484,10 @@ class _Solver:
     """Cached Hermite-backed solver for A x = b over the integers.
 
     Hermite elimination (rather than full Smith reduction) is used here
-    because it keeps coefficients reduced modulo the pivots, which matters
-    for the large Kronecker-assembled systems of the homotopy and
-    splitting solvers.
+    because it keeps coefficients reduced modulo the pivots.  One solver
+    serves every column (or row) of a decoupled matrix equation, see
+    ``solve_columns_mod_lattice`` and ``solve_rows_mod_lattice``, and the
+    Kronecker-assembled coupled systems of ``MatrixEquationSystem``.
     """
 
     def __init__(self, a: IntMatrix):
@@ -615,23 +616,103 @@ def solve_mod_lattice(a: IntMatrix, b: Sequence[int] | IntMatrix,
     return sol[:a.cols], sol[a.cols:]
 
 
-def solve_columns_mod_lattice(a: IntMatrix, b: IntMatrix,
-                              lattice_gens: IntMatrix) -> Optional[IntMatrix]:
+def solve_columns_mod_lattice(a: IntMatrix, b: IntMatrix, lattice_gens: IntMatrix,
+                              dom_rel: Optional[IntMatrix] = None,
+                              cod_rel: Optional[IntMatrix] = None,
+                              rng: Optional[random.Random] = None) -> Optional[IntMatrix]:
     """Some X with a @ X = b modulo col(lattice_gens), or None.
 
-    The columns of X are solved one at a time against the cached solver of
-    [a | lattice_gens], so no Kronecker-assembled system is built.
+    With ``dom_rel`` given, X must also carry col(dom_rel) into col(cod_rel)
+    (no ``cod_rel`` means the zero lattice): X is then a well-defined map
+    between the presented groups Z^n / dom_rel and Z^m / cod_rel.  Writing
+    X = X' U with U dom_rel V = D in Smith form turns that constraint into
+    one per column, d_j x'_j in col(cod_rel), so column j of X' ranges over
+    the lattice P_j = {x : d_j x in col(cod_rel)} and every column is solved
+    on its own against the cached solver of [a P_j | lattice_gens].  With
+    ``rng`` each column is a random point of its solution set.
     """
     if b.rows != a.rows or lattice_gens.rows != a.rows:
         raise DimensionMismatch("right-hand side and lattice must live in the row space of a")
-    solver = _solver(IntMatrix.hstack(a, lattice_gens))
+    n = a.cols
+    diag: tuple[int, ...] = ()
+    u = None
+    if dom_rel is not None and dom_rel.cols:
+        if dom_rel.rows != b.cols:
+            raise DimensionMismatch("domain relations must have one row per column of b")
+        snf = smith_normal_form(dom_rel)
+        u, diag = snf.U, snf.diagonal
+        b = b @ unimodular_inverse(u)
+    if cod_rel is None:
+        cod_rel = IntMatrix.zeros(n, 0)
+    # per distinct d: (basis of P_d or None for all of Z^n, solver of [a P_d | lattice])
+    spaces: dict[int, tuple[Optional[IntMatrix], _Solver]] = {}
     cols = []
     for j in range(b.cols):
-        sol = solver.solve(b.column_at(j))
+        d = diag[j] if j < len(diag) else 0
+        if d not in spaces:
+            basis = None if d == 0 else preimage_basis(IntMatrix.diagonal([d] * n), cod_rel)
+            lhs = a if basis is None else a @ basis
+            spaces[d] = basis, _solver(IntMatrix.hstack(lhs, lattice_gens))
+        basis, solver = spaces[d]
+        rhs = b.column_at(j)
+        sol = solver.sample_solution(rhs, rng) if rng is not None else solver.solve(rhs)
         if sol is None:
             return None
-        cols.append(sol[:a.cols])
-    return IntMatrix(a.cols, b.cols, tuple(tuple(c[i] for c in cols) for i in range(a.cols)))
+        if basis is None:
+            cols.append(sol[:n])
+        else:
+            y = sol[:basis.cols]
+            cols.append(tuple(sum(basis.entries[i][k] * y[k] for k in range(basis.cols))
+                              for i in range(n)))
+    x = IntMatrix(n, b.cols, tuple(tuple(c[i] for c in cols) for i in range(n)))
+    return x if u is None else x @ u
+
+
+def solve_rows_mod_lattice(r: IntMatrix, c: IntMatrix, lattice_gens: IntMatrix,
+                           dom_rel: Optional[IntMatrix] = None,
+                           rng: Optional[random.Random] = None) -> Optional[IntMatrix]:
+    """Some X with X @ r = c modulo col(lattice_gens), or None.
+
+    With ``dom_rel`` given, X must also carry col(dom_rel) into
+    col(lattice_gens).  Multiplying by U, where U lattice_gens V = D is in
+    Smith form with diagonal e_i, makes the modulus coordinatewise, so row i
+    of U X solves [r | dom_rel]^T x = (c_i, 0) modulo e_i on its own: one
+    cached solver per distinct e_i, and rows with e_i = 1 are free.  With
+    ``rng`` each row is a random point of its solution set.
+    """
+    if r.cols != c.cols or lattice_gens.rows != c.rows:
+        raise DimensionMismatch("right-hand side and lattice must match the shape of X r")
+    stacked, rhs = r, c
+    if dom_rel is not None and dom_rel.cols:
+        if dom_rel.rows != r.rows:
+            raise DimensionMismatch("domain relations must have one row per row of r")
+        stacked = IntMatrix.hstack(r, dom_rel)
+        rhs = IntMatrix.hstack(c, IntMatrix.zeros(c.rows, dom_rel.cols))
+    diag: tuple[int, ...] = ()
+    u = None
+    if lattice_gens.cols:
+        snf = smith_normal_form(lattice_gens)
+        u, diag = snf.U, snf.diagonal
+        rhs = u @ rhs
+    at = stacked.transpose()
+    solvers: dict[int, _Solver] = {}
+    rows = []
+    for i in range(c.rows):
+        e = diag[i] if i < len(diag) else 0
+        if e == 1:
+            rows.append((0,) * r.rows)
+            continue
+        if e not in solvers:
+            solvers[e] = _solver(at if e == 0 else
+                                 IntMatrix.hstack(at, IntMatrix.diagonal([e] * at.rows)))
+        solver = solvers[e]
+        row = rhs.entries[i]
+        sol = solver.sample_solution(row, rng) if rng is not None else solver.solve(row)
+        if sol is None:
+            return None
+        rows.append(sol[:r.rows])
+    x = IntMatrix(c.rows, r.rows, tuple(rows))
+    return x if u is None else unimodular_inverse(u) @ x
 
 
 def preimage_basis(m: IntMatrix, lattice_gens: IntMatrix) -> IntMatrix:
@@ -715,6 +796,12 @@ class MatrixEquationSystem:
     ``H_b`` are unknown blocks, optionally modulo a lattice applied to each
     column of ``C``.  The system is vectorized columnwise
     (vec(L H R) = kron(R^T, L) vec(H)) and handed to one integer solve.
+
+    This is for genuinely coupled systems only: several unknowns in one
+    equation, or an unknown multiplied on both sides.  A single unknown
+    multiplied on one side decouples into columns or rows; solve it with
+    ``solve_columns_mod_lattice`` or ``solve_rows_mod_lattice`` instead,
+    which never build the Kronecker product.
     """
 
     def __init__(self) -> None:

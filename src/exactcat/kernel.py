@@ -18,6 +18,8 @@ from .intlinalg import (
     IntMatrix,
     MatrixEquationSystem,
     reduce_columns_mod_lattice,
+    solve_columns_mod_lattice,
+    solve_rows_mod_lattice,
 )
 
 
@@ -201,7 +203,10 @@ class MorphismSystem:
     Wraps :class:`MatrixEquationSystem` and adds, for every unknown
     arrow X -> Y, the constraint that it carries the relation lattice of
     X into the relation lattice of Y; without it a raw matrix solution
-    need not be a morphism at all.
+    need not be a morphism at all.  Only coupled systems need this (null
+    homotopies, two-sided equations such as f g f = f); a single unknown
+    factor is found by ``solve_right_factor`` or ``solve_left_factor``
+    without assembling a system.
     """
 
     def __init__(self, model: "ExactStructureModel"):
@@ -340,35 +345,26 @@ class ExactStructureModel:
         """u with m o u = t (factor t through m on the right)."""
         if m.cod != t.cod:
             raise ComposabilityError("right factor: codomains disagree")
-        sys = MorphismSystem(self)
-        sys.unknown_morphism("u", t.dom, m.dom)
-        sys.equation([("u", m.matrix, IntMatrix.identity(t.matrix.cols))],
-                     t.matrix, cod=m.cod)
-        sol = sys.solve(rng=rng)
-        return sol["u"] if sol is not None else None
+        u = solve_columns_mod_lattice(m.matrix, t.matrix, self._rel(m.cod.payload),
+                                      dom_rel=self._rel(t.dom.payload),
+                                      cod_rel=self._rel(m.dom.payload), rng=rng)
+        return self.morphism(t.dom, m.dom, u, check=False) if u is not None else None
 
     def solve_left_factor(self, e: MorphismHandle, t: MorphismHandle,
                           rng: Optional[random.Random] = None) -> Optional[MorphismHandle]:
         """h with h o e = t (factor t through e on the left)."""
         if e.dom != t.dom:
             raise ComposabilityError("left factor: domains disagree")
-        sys = MorphismSystem(self)
-        sys.unknown_morphism("h", e.cod, t.cod)
-        sys.equation([("h", IntMatrix.identity(t.matrix.rows), e.matrix)],
-                     t.matrix, cod=t.cod)
-        sol = sys.solve(rng=rng)
-        return sol["h"] if sol is not None else None
+        h = solve_rows_mod_lattice(e.matrix, t.matrix, self._rel(t.cod.payload),
+                                   dom_rel=self._rel(e.cod.payload), rng=rng)
+        return self.morphism(e.cod, t.cod, h, check=False) if h is not None else None
 
     def inverse(self, f: MorphismHandle) -> Optional[MorphismHandle]:
-        sys = MorphismSystem(self)
-        sys.unknown_morphism("g", f.cod, f.dom)
-        na, nb = f.matrix.cols, f.matrix.rows
-        sys.equation([("g", IntMatrix.identity(na), f.matrix)],
-                     self.identity(f.dom).matrix, cod=f.dom)
-        sys.equation([("g", f.matrix, IntMatrix.identity(nb))],
-                     self.identity(f.cod).matrix, cod=f.cod)
-        sol = sys.solve()
-        return sol["g"] if sol is not None else None
+        # a left inverse of an isomorphism is its inverse
+        g = self.solve_left_factor(f, self.identity(f.dom))
+        if g is None or not (f @ g).same_as(self.identity(f.cod)):
+            return None
+        return g
 
     def is_iso(self, f: MorphismHandle) -> bool:
         return self.inverse(f) is not None

@@ -449,38 +449,28 @@ class SplitModel(PresentedModel):
 
     def is_admissible_monic(self, f: MorphismHandle) -> bool:
         # a left inverse must exist
-        sys = MorphismSystem(self)
-        sys.unknown_morphism("s", f.cod, f.dom)
-        sys.equation([("s", IntMatrix.identity(f.matrix.cols), f.matrix)],
-                     self.identity(f.dom).matrix, cod=f.dom)
-        return sys.solve() is not None
+        return self.solve_left_factor(f, self.identity(f.dom)) is not None
 
     def is_admissible_epic(self, f: MorphismHandle) -> bool:
-        sys = MorphismSystem(self)
-        sys.unknown_morphism("t", f.cod, f.dom)
-        sys.equation([("t", f.matrix, IntMatrix.identity(f.matrix.rows))],
-                     self.identity(f.cod).matrix, cod=f.cod)
-        return sys.solve() is not None
+        # a right inverse must exist
+        return self.solve_right_factor(f, self.identity(f.cod)) is not None
 
     def is_short_exact(self, i: MorphismHandle, p: MorphismHandle) -> bool:
         if i.cod != p.dom or not (p @ i).is_zero():
             return False
-        # one witness pair (s, t) with s i = 1, p t = 1, i s + t p = 1
-        # decides exactness
-        na = i.matrix.cols
-        nb = i.matrix.rows
-        nc = p.matrix.rows
-        sys = MorphismSystem(self)
-        sys.unknown_morphism("s", i.cod, i.dom)
-        sys.unknown_morphism("t", p.cod, p.dom)
-        sys.equation([("s", IntMatrix.identity(na), i.matrix)],
-                     IntMatrix.identity(na), cod=i.dom)
-        sys.equation([("t", p.matrix, IntMatrix.identity(nc))],
-                     IntMatrix.identity(nc), cod=p.cod)
-        sys.equation([("s", i.matrix, IntMatrix.identity(nb)),
-                      ("t", IntMatrix.identity(nb), p.matrix)],
-                     IntMatrix.identity(nb), cod=i.cod)
-        return sys.solve() is not None
+        # Split exact iff some s i = 1, p t = 1 with i s + t p = 1.  Any
+        # one-sided inverses s, t decide it: (1 - i s)(1 - t p) = 0.  If
+        # that holds, (s, (1 - i s) t) is a witness pair, since
+        # p (1 - i s) t = 1 and i s + (1 - i s) t p = 1.  If the pair
+        # splits, 1 - t p maps into ker p = im i, which 1 - i s kills.
+        s = self.solve_left_factor(i, self.identity(i.dom))
+        if s is None:
+            return False
+        t = self.solve_right_factor(p, self.identity(p.cod))
+        if t is None:
+            return False
+        one = self.identity(i.cod)
+        return ((one - i @ s) @ (one - t @ p)).is_zero()
 
     def random_ses(self, rng: random.Random, bounds: GenBounds) -> ShortExactSequence:
         a = self.random_object(rng, bounds)

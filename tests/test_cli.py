@@ -96,6 +96,32 @@ def test_exit_code_precondition(tmp_path):
     assert code == 3
 
 
+def test_document_precondition_is_exit_3(tmp_path, capsys):
+    # an odd-rank object violates the even_rank_split precondition; that
+    # is exit 3, not a parse error
+    doc = {
+        "version": "exactcat/1",
+        "model": {"kind": "even_rank_split"},
+        "objects": {"E": {"ngens": 1,
+                          "relations": {"rows": 1, "cols": 0, "entries": [[]]}}},
+        "morphisms": {"q": {"dom": "E", "cod": "E",
+                            "matrix": {"rows": 1, "cols": 1, "entries": [[1]]}}},
+    }
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _ = run_cli("complete", str(path), "E", "q")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "precondition violated" in err and "even rank" in err
+    # a matrix that does not fit its declared objects is still malformed
+    doc["model"] = {"kind": "fgab"}
+    doc["morphisms"]["q"]["matrix"] = {"rows": 2, "cols": 1, "entries": [[1], [0]]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _ = run_cli("complete", str(path), "E", "q")
+    assert code == 2
+    assert "parse error" in capsys.readouterr().err
+
+
 def test_homology_on_completion_is_precondition(tmp_path, capsys):
     # homology needs presented objects, which completion objects are not
     doc = {

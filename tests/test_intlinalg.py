@@ -9,6 +9,7 @@ from exactcat.intlinalg import (
     column_hnf,
     kernel_basis,
     kernel_mod_p,
+    lattice_contains,
     lattice_equal,
     lattice_membership,
     preimage_basis,
@@ -20,8 +21,10 @@ from exactcat.intlinalg import (
     solve_columns_mod_lattice,
     solve_mod_lattice,
     solve_mod_p,
+    solve_rows_mod_lattice,
     unimodular_inverse,
 )
+from exactcat.models import fgab
 
 
 def is_unimodular(m):
@@ -321,3 +324,71 @@ def test_solve_columns_mod_lattice_matches_assembled_system():
             resid = a @ x - c
             assert all(solve_integer(lat, resid.column_at(j)) is not None
                        for j in range(c.cols))
+
+
+def _torsion_object(rng, rand):
+    # a presented group with a few relations of mixed size, often torsion
+    n = rng.randint(0, 3)
+    return fgab().object(n, rand(n, rng.randint(0, 2), 4))
+
+
+def _morphism_oracle(dom, cod, eq_left, eq_right, rhs, mod):
+    # the assembled Kronecker system: one equation plus the well-definedness
+    # constraint H rel(dom) in col rel(cod)
+    sys = MatrixEquationSystem()
+    sys.unknown("h", cod.payload.ngens, dom.payload.ngens)
+    sys.equation([("h", eq_left, eq_right)], rhs, mod=mod)
+    rel_dom, rel_cod = dom.payload.relations, cod.payload.relations
+    if rel_dom.cols:
+        sys.equation([("h", IntMatrix.identity(cod.payload.ngens), rel_dom)],
+                     IntMatrix.zeros(cod.payload.ngens, rel_dom.cols), mod=rel_cod)
+    return sys.solve()
+
+
+@pytest.mark.parametrize("form", ["columns", "rows"])
+def test_one_sided_solvers_match_assembled_system(form):
+    # Oracle: MatrixEquationSystem.  Left form L H = C mod rel(Z), right
+    # form H R = C mod rel(Y), both with H: X -> Y well defined, on random
+    # presented groups with torsion on both sides.  Half the right-hand
+    # sides come from a known morphism, half are random (often unsolvable).
+    rng = random.Random(23 if form == "columns" else 29)
+    model = fgab()
+
+    def rand(rows, cols, bound):
+        return IntMatrix.from_rows([[rng.randint(-bound, bound) for _ in range(cols)]
+                                    for _ in range(rows)], cols=cols)
+
+    seen = {True: 0, False: 0}
+    for trial in range(120):
+        x, y, z = (_torsion_object(rng, rand) for _ in range(3))
+        nx, ny, nz = x.payload.ngens, y.payload.ngens, z.payload.ngens
+        known = model.random_morphism(rng, x, y).matrix
+        if form == "columns":
+            left = rand(nz, ny, 3)
+            rhs = left @ known if trial % 2 else rand(nz, nx, 4)
+            mod = z.payload.relations
+            expected = _morphism_oracle(x, y, left, IntMatrix.identity(nx), rhs, mod)
+            h = solve_columns_mod_lattice(left, rhs, mod, dom_rel=x.payload.relations,
+                                          cod_rel=y.payload.relations)
+            sampled = solve_columns_mod_lattice(left, rhs, mod, dom_rel=x.payload.relations,
+                                                cod_rel=y.payload.relations,
+                                                rng=random.Random(trial))
+        else:
+            right = rand(nx, nz, 3)
+            rhs = known @ right if trial % 2 else rand(ny, nz, 4)
+            mod = y.payload.relations
+            expected = _morphism_oracle(x, y, IntMatrix.identity(ny), right, rhs, mod)
+            h = solve_rows_mod_lattice(right, rhs, mod, dom_rel=x.payload.relations)
+            sampled = solve_rows_mod_lattice(right, rhs, mod, dom_rel=x.payload.relations,
+                                             rng=random.Random(trial))
+        assert (h is None) == (expected is None)
+        assert (sampled is None) == (h is None)
+        seen[h is not None] += 1
+        for sol in (h, sampled):
+            if sol is None:
+                continue
+            assert (sol.rows, sol.cols) == (ny, nx)
+            resid = (left @ sol if form == "columns" else sol @ right) - rhs
+            assert lattice_contains(mod, resid)
+            model.morphism(x, y, sol, check=True)
+    assert seen[True] >= 15 and seen[False] >= 15
