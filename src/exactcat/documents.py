@@ -115,7 +115,7 @@ def model_from_descriptor(desc) -> ExactStructureModel:
 def parse_model_name(name: str) -> ExactStructureModel:
     """Command-line model names: fgab, vect:5, completion:even_rank_split."""
     if name.startswith("vect:"):
-        return model_from_descriptor({"kind": "vect", "p": int(name.split(":", 1)[1])})
+        return model_from_descriptor({"kind": "vect", "p": decode_int(name.split(":", 1)[1])})
     if name.startswith("completion:"):
         return model_from_descriptor({"kind": "completion",
                                       "base": name.split(":", 1)[1]})

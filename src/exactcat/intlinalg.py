@@ -10,9 +10,11 @@ integers; there is no floating point anywhere.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 
@@ -67,7 +69,7 @@ class IntMatrix:
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
+        return IntMatrix(rows, cols, ((0,) * cols,) * rows)
 
     @staticmethod
     def diagonal(values: Sequence[int], rows: Optional[int] = None, cols: Optional[int] = None) -> "IntMatrix":
@@ -89,7 +91,8 @@ class IntMatrix:
         rows = mats[0].rows
         if any(m.rows != rows for m in mats):
             raise DimensionMismatch("hstack with differing row counts")
-        data = tuple(tuple(x for m in mats for x in m.entries[i]) for i in range(rows))
+        data = tuple(tuple(chain.from_iterable(parts))
+                     for parts in zip(*(m.entries for m in mats)))
         return IntMatrix(rows, sum(m.cols for m in mats), data)
 
     @staticmethod
@@ -133,16 +136,20 @@ class IntMatrix:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix addition shape mismatch")
-        return IntMatrix(self.rows, self.cols, tuple(
-            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries)))
+        return self._zip_with(operator.add, other, "addition")
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + (-other)
+        return self._zip_with(operator.sub, other, "subtraction")
+
+    def _zip_with(self, op, other: "IntMatrix", what: str) -> "IntMatrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionMismatch(f"matrix {what} shape mismatch")
+        return IntMatrix(self.rows, self.cols, tuple(
+            tuple(map(op, ra, rb)) for ra, rb in zip(self.entries, other.entries)))
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(tuple(-a for a in row) for row in self.entries))
+        return IntMatrix(self.rows, self.cols,
+                         tuple(tuple(map(operator.neg, row)) for row in self.entries))
 
     def scale(self, k: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(tuple(k * a for a in row) for row in self.entries))
@@ -151,15 +158,18 @@ class IntMatrix:
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"matrix product shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ot = other.transpose().entries
-        data = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-            for row in self.entries)
+        if not self.cols:
+            # zip(*()) below would lose the column count of other
+            return IntMatrix.zeros(self.rows, other.cols)
+        mul = operator.mul
+        cols = tuple(zip(*other.entries))
+        data = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.entries)
         return IntMatrix(self.rows, other.cols, data)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)))
+        if not self.rows:
+            return IntMatrix.zeros(self.cols, 0)
+        return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)))
 
     # -- accessors ----------------------------------------------------
 
@@ -167,7 +177,7 @@ class IntMatrix:
         return self.entries[i][j]
 
     def column_at(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        return tuple(row[j] for row in self.entries)
 
     def take_columns(self, idx: Iterable[int]) -> "IntMatrix":
         idx = list(idx)
@@ -454,30 +464,40 @@ def saturation(a: IntMatrix) -> IntMatrix:
     return column_hnf(uinv.take_columns(range(rank)))
 
 
-def reduce_columns_mod_lattice(m: IntMatrix, lattice_gens: IntMatrix) -> IntMatrix:
-    """Canonically reduce each column of ``m`` modulo the lattice."""
-    if lattice_gens.cols == 0:
-        return m
+@lru_cache(maxsize=None)
+def _lattice_reducer(lattice_gens: IntMatrix) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(pivot row, pivot, column) for each column of the lattice's HNF.
+
+    Keyed on the same matrices as ``column_hnf_transform``, so this cache
+    holds no more entries than that one.
+    """
     h = column_hnf(lattice_gens)
-    if h.cols == 0:
+    out = []
+    for col in zip(*h.entries):
+        pr = next(i for i, x in enumerate(col) if x)
+        out.append((pr, col[pr], col))
+    return tuple(out)
+
+
+def reduce_columns_mod_lattice(m: IntMatrix, lattice_gens: IntMatrix) -> IntMatrix:
+    """Canonically reduce each column of ``m`` modulo the lattice.
+
+    The result depends only on the coset of each column, not on its
+    representative.
+    """
+    if lattice_gens.cols == 0 or m.cols == 0:
         return m
-    pivots = []
-    for j in range(h.cols):
-        for i in range(h.rows):
-            if h.entries[i][j]:
-                pivots.append((i, j))
-                break
+    pivots = _lattice_reducer(lattice_gens)
+    if not pivots:
+        return m
     cols = []
-    for j in range(m.cols):
-        v = list(m.column_at(j))
-        for (pr, pc) in pivots:
-            piv = h.entries[pr][pc]
+    for v in zip(*m.entries):
+        for pr, piv, h in pivots:
             q = v[pr] // piv
             if q:
-                for i in range(m.rows):
-                    v[i] -= q * h.entries[i][pc]
+                v = [x - q * y for x, y in zip(v, h)]
         cols.append(v)
-    return IntMatrix(m.rows, m.cols, tuple(tuple(c[i] for c in cols) for i in range(m.rows)))
+    return IntMatrix(m.rows, m.cols, tuple(zip(*cols)))
 
 
 class _Solver:
@@ -727,9 +747,41 @@ def preimage_basis(m: IntMatrix, lattice_gens: IntMatrix) -> IntMatrix:
 # -- prime-field backend ---------------------------------------------
 
 
+# Miller-Rabin with the first 13 prime bases decides primality exactly below
+# this bound, the least strong pseudoprime to all of them (Sorenson-Webster,
+# Math. Comp. 86, 2017).  The first 12 bases alone are fooled earlier, by
+# 318665857834031151167461 = 399165290221 * 798330580441.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3317044064679887385961981
+
+
 def _check_prime(p: int) -> None:
-    if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+    """Raise ValueError unless p is prime (deterministic Miller-Rabin).
+
+    Primes at or above ``PRIMALITY_BOUND`` are refused rather than guessed.
+    """
+    if p >= PRIMALITY_BOUND:
+        raise ValueError(f"primality of {p} is only decided below {PRIMALITY_BOUND}")
+    if p < 2:
         raise ValueError(f"{p} is not prime")
+    for q in _MR_BASES:
+        if p % q == 0:
+            if p == q:
+                return
+            raise ValueError(f"{p} is not prime")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            raise ValueError(f"{p} is not prime")
 
 
 def rref_mod_p(a: IntMatrix, p: int) -> tuple[list[list[int]], list[int]]:

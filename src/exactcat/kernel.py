@@ -77,6 +77,11 @@ class MorphismHandle:
     Structural equality is deliberately not defined; two matrices can
     present the same arrow.  Use ``same_as`` for arrow equality in the
     model (equality modulo the codomain relation lattice).
+
+    Invariant: ``matrix`` is always the canonical representative modulo the
+    codomain relations (``reduce_columns_mod_lattice``), and on a completion
+    it is already sandwiched between the idempotents of its endpoints.  The
+    model's ``compose``, ``add``, ``subtract`` and ``negate`` rely on it.
     """
 
     dom: ObjectHandle
@@ -97,7 +102,7 @@ class MorphismHandle:
         return self.model.add(self, other)
 
     def __sub__(self, other: "MorphismHandle") -> "MorphismHandle":
-        return self.model.add(self, self.model.negate(other))
+        return self.model.subtract(self, other)
 
     def __neg__(self) -> "MorphismHandle":
         return self.model.negate(self)
@@ -315,19 +320,37 @@ class ExactStructureModel:
                              IntMatrix.zeros(self._gens(cod.payload), self._gens(dom.payload)),
                              check=False)
 
+    # Sums and composites skip ``morphism`` and its ``_coerce_matrix``.  On a
+    # completion an arrow (A, p) -> (B, q) stores x = q m p + R a with R the
+    # relations of B; q and p carry relations into relations, so q x = x and
+    # x p = x modulo R.  Sums and negatives keep both congruences, and so do
+    # composites, since every arrow carries the relations of its domain into
+    # those of its codomain.  The sandwich of any result is thus congruent
+    # to the result itself, and the canonical reduction depends only on the
+    # coset: reducing the raw matrix gives exactly what ``morphism`` stores.
+
+    def _reduced(self, dom: ObjectHandle, cod: ObjectHandle,
+                 raw: IntMatrix) -> MorphismHandle:
+        return MorphismHandle(dom, cod, reduce_columns_mod_lattice(raw, self._rel(cod.payload)))
+
     def compose(self, f: MorphismHandle, g: MorphismHandle) -> MorphismHandle:
         """The composite f after g."""
         if f.dom != g.cod:
             raise ComposabilityError("compose: inner objects disagree")
-        return self.morphism(g.dom, f.cod, f.matrix @ g.matrix, check=False)
+        return self._reduced(g.dom, f.cod, f.matrix @ g.matrix)
 
     def add(self, f: MorphismHandle, g: MorphismHandle) -> MorphismHandle:
         if f.dom != g.dom or f.cod != g.cod:
             raise ComposabilityError("sum of arrows with different endpoints")
-        return self.morphism(f.dom, f.cod, f.matrix + g.matrix, check=False)
+        return self._reduced(f.dom, f.cod, f.matrix + g.matrix)
+
+    def subtract(self, f: MorphismHandle, g: MorphismHandle) -> MorphismHandle:
+        if f.dom != g.dom or f.cod != g.cod:
+            raise ComposabilityError("difference of arrows with different endpoints")
+        return self._reduced(f.dom, f.cod, f.matrix - g.matrix)
 
     def negate(self, f: MorphismHandle) -> MorphismHandle:
-        return self.morphism(f.dom, f.cod, -f.matrix, check=False)
+        return self._reduced(f.dom, f.cod, -f.matrix)
 
     def mor_equal(self, f: MorphismHandle, g: MorphismHandle) -> bool:
         if f.dom != g.dom or f.cod != g.cod:

@@ -13,6 +13,7 @@ from exactcat.documents import (
     document_to_jsonable,
     load_document,
 )
+from exactcat.intlinalg import PRIMALITY_BOUND
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -138,6 +139,21 @@ def test_homology_on_completion_is_precondition(tmp_path, capsys):
     code, _ = run_cli("homology", str(path), "X")
     assert code == 3
     assert "abelian model of presented groups" in capsys.readouterr().err
+
+
+def test_vect_modulus_errors(capsys):
+    # a modulus that is not an integer is malformed input
+    code, _ = run_cli("check", "--model", "vect:abc", "--iters", "1")
+    assert code == 2
+    assert "parse error" in capsys.readouterr().err
+    # primality is only decided below a stated bound; past it is exit 3
+    code, _ = run_cli("check", "--model", f"vect:{PRIMALITY_BOUND + 2}", "--iters", "1")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "precondition violated" in err and str(PRIMALITY_BOUND) in err
+    code, _ = run_cli("check", "--model", "vect:561", "--iters", "1")
+    assert code == 3
+    assert "561 is not prime" in capsys.readouterr().err
 
 
 def test_exit_code_law_failure():

@@ -6,6 +6,8 @@ from exactcat.intlinalg import (
     IntMatrix,
     Lattice,
     MatrixEquationSystem,
+    PRIMALITY_BOUND,
+    _check_prime,
     column_hnf,
     kernel_basis,
     kernel_mod_p,
@@ -392,3 +394,119 @@ def test_one_sided_solvers_match_assembled_system(form):
             assert lattice_contains(mod, resid)
             model.morphism(x, y, sol, check=True)
     assert seen[True] >= 15 and seen[False] >= 15
+
+
+def _naive_product(a, b):
+    return [[sum(a.entries[i][k] * b.entries[k][j] for k in range(a.cols))
+             for j in range(b.cols)] for i in range(a.rows)]
+
+
+def _reference_reduce(m, lattice_gens):
+    # reduce_columns_mod_lattice as it was before the cached reducer
+    if lattice_gens.cols == 0:
+        return m
+    h = column_hnf(lattice_gens)
+    if h.cols == 0:
+        return m
+    pivots = []
+    for j in range(h.cols):
+        for i in range(h.rows):
+            if h.entries[i][j]:
+                pivots.append((i, j))
+                break
+    cols = []
+    for j in range(m.cols):
+        v = list(m.column_at(j))
+        for (pr, pc) in pivots:
+            piv = h.entries[pr][pc]
+            q = v[pr] // piv
+            if q:
+                for i in range(m.rows):
+                    v[i] -= q * h.entries[i][pc]
+        cols.append(v)
+    return IntMatrix(m.rows, m.cols, tuple(tuple(c[i] for c in cols) for i in range(m.rows)))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (2, 3)])
+def test_row_tuple_kernels_on_degenerate_shapes(shape):
+    r, c = shape
+    rng = random.Random(r * 10 + c)
+    a = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(c)] for _ in range(r)], cols=c)
+    for k in (0, 2):
+        b = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(k)] for _ in range(c)],
+                                cols=k)
+        p = a @ b
+        assert (p.rows, p.cols) == (r, k)
+        assert p.to_lists() == _naive_product(a, b)
+        left = IntMatrix.from_rows([[1] * r for _ in range(k)], cols=r)
+        p = left @ a
+        assert (p.rows, p.cols) == (k, c)
+        assert p.to_lists() == _naive_product(left, a)
+    t = a.transpose()
+    assert (t.rows, t.cols) == (c, r)
+    assert all(t.entries[j][i] == a.entries[i][j] for i in range(r) for j in range(c))
+    assert t.transpose() == a
+    assert [list(a.column_at(j)) for j in range(c)] == t.to_lists()
+    z = IntMatrix.zeros(r, 2)
+    h = IntMatrix.hstack(a, z, a)
+    assert (h.rows, h.cols) == (r, 2 * c + 2)
+    assert h.to_lists() == [row + [0, 0] + row for row in a.to_lists()]
+    for lat in (IntMatrix.zeros(r, 0), IntMatrix.zeros(r, 2),
+                IntMatrix.diagonal([3] * r)):
+        assert reduce_columns_mod_lattice(a, lat) == _reference_reduce(a, lat)
+    # a lattice whose Hermite basis is empty leaves every column alone
+    assert column_hnf(IntMatrix.zeros(r, 3)).cols == 0
+    assert reduce_columns_mod_lattice(a, IntMatrix.zeros(r, 3)) == a
+
+
+def test_reduce_columns_mod_lattice_matches_reference():
+    rng = random.Random(2024)
+    ranks = set()
+    for trial in range(300):
+        n = rng.randint(1, 5)
+        k = rng.randint(0, 5)
+        if trial % 3 == 0:
+            # rank-deficient: a product through a smaller inner dimension
+            inner = rng.randint(0, max(0, n - 1))
+            lat = IntMatrix.from_rows(
+                [[rng.randint(-4, 4) for _ in range(inner)] for _ in range(n)], cols=inner) @ \
+                IntMatrix.from_rows(
+                    [[rng.randint(-4, 4) for _ in range(k)] for _ in range(inner)], cols=k)
+        else:
+            lat = IntMatrix.from_rows(
+                [[rng.randint(-9, 9) for _ in range(k)] for _ in range(n)], cols=k)
+        ranks.add((column_hnf(lat).cols, n))
+        c = rng.randint(0, 4)
+        m = IntMatrix.from_rows([[rng.randint(-60, 60) for _ in range(c)] for _ in range(n)],
+                                cols=c)
+        red = reduce_columns_mod_lattice(m, lat)
+        assert red == _reference_reduce(m, lat)
+        # the result depends only on the coset of each column
+        shift = lat @ IntMatrix.from_rows(
+            [[rng.randint(-3, 3) for _ in range(c)] for _ in range(k)], cols=c)
+        assert reduce_columns_mod_lattice(m + shift, lat) == red
+    assert any(rank < n for rank, n in ranks) and any(rank == n for rank, n in ranks)
+
+
+def test_check_prime_miller_rabin():
+    def is_prime(p):
+        try:
+            _check_prime(p)
+        except ValueError:
+            return False
+        return True
+
+    def trial_division(p):
+        return p >= 2 and all(p % q for q in range(2, int(p ** 0.5) + 1))
+
+    assert all(is_prime(p) == trial_division(p) for p in range(-10, 5000))
+    # Carmichael 561; 3215031751 is a strong pseudoprime to 2, 3, 5 and 7;
+    # the next one fools the first 12 prime bases
+    for composite in (561, 3215031751, 318665857834031151167461, -7, 0, 1):
+        assert not is_prime(composite)
+    for prime in (2 ** 61 - 1, 10 ** 18 + 3, 2 ** 31 - 1):
+        assert is_prime(prime)
+    with pytest.raises(ValueError, match=str(PRIMALITY_BOUND)):
+        _check_prime(PRIMALITY_BOUND)
+    with pytest.raises(ValueError, match=str(PRIMALITY_BOUND)):
+        _check_prime(2 ** 127 - 1)

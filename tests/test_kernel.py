@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from exactcat.documents import parse_model_name
 from exactcat.intlinalg import IntMatrix
 from exactcat.kernel import (
     GenBounds,
@@ -299,3 +300,41 @@ def test_pushout_pullback_error_paths():
         pushout_along_monic(two, f_on_other)
     with pytest.raises(NotAdmissible):
         pullback_along_epic(two, M.identity(z))
+
+
+ARITHMETIC_MODELS = ["fgab", "fgab_split", "vect:3", "free_split", "even_rank_split",
+                     "completion:fgab", "completion:fgab_split",
+                     "completion:even_rank_split"]
+
+
+@pytest.mark.parametrize("name", ARITHMETIC_MODELS)
+def test_arithmetic_matches_coercion_path(name):
+    # compose, add, negate and - reduce the raw matrix without going back
+    # through morphism(); they must store exactly what morphism() stores
+    model = parse_model_name(name)
+    rng = random.Random(41)
+    bounds = GenBounds(max_gens=3)
+
+    def coerced(dom, cod, raw):
+        return model.morphism(dom, cod, raw, check=True).matrix
+
+    for _ in range(25):
+        s = model.random_ses(rng, bounds)
+        a, b, c = s.sub, s.mid, s.quot
+        pool = {(a, b): [s.i, model.random_morphism(rng, a, b)],
+                (b, c): [s.p, model.random_morphism(rng, b, c)],
+                (a, c): [model.random_morphism(rng, a, c)]}
+        for (dom, cod), arrows in pool.items():
+            arrows.append(model.random_morphism(rng, dom, cod))
+            f, g = arrows[0], arrows[-1]
+            assert (f + g).matrix == coerced(dom, cod, f.matrix + g.matrix)
+            assert (f - g).matrix == coerced(dom, cod, f.matrix - g.matrix)
+            assert (-f).matrix == coerced(dom, cod, -f.matrix)
+            assert model.negate(g).matrix == coerced(dom, cod, -g.matrix)
+        for f in pool[(b, c)]:
+            for g in pool[(a, b)]:
+                h = f @ g
+                assert (h.dom, h.cod) == (a, c)
+                assert h.matrix == coerced(a, c, f.matrix @ g.matrix)
+                assert (h - pool[(a, c)][0]).matrix == \
+                    coerced(a, c, h.matrix - pool[(a, c)][0].matrix)
