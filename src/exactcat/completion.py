@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .intlinalg import IntMatrix, column_hnf, solve_columns_mod_lattice
+from .intlinalg import IntMatrix
 from .kernel import (
     Analysis,
     ExactStructureModel,
@@ -125,24 +125,14 @@ class CompletedModel(ExactStructureModel):
         hit = self._splits.get(payload)
         if hit is not None:
             return hit
-        base, p = payload.base, payload.idem
-        if self.base.idempotent_complete:
-            basis = self.base._image_lattice(self.base.morphism(base, base, p, check=False))
-            mono = self.base.subobject(base, basis)
-            target = mono.dom
-            ret = self.base.solve_right_factor(mono,
-                                               self.base.morphism(base, base, p,
-                                                                  check=False))
-            if ret is None:
-                raise InternalCheckError("idempotent image retraction is missing")
-            data = SplitData(target, mono.matrix, ret.matrix)
-        else:
-            basis = column_hnf(p)   # saturated: idempotent images are summands
-            target = self.target.object(basis.cols)
-            ret = solve_columns_mod_lattice(basis, p, IntMatrix.zeros(p.rows, 0))
-            if ret is None:
-                raise InternalCheckError("free idempotent image retraction is missing")
-            data = SplitData(target, basis, ret)
+        target = self.target
+        host = target._obj(payload.base.payload)
+        p = target.morphism(host, host, payload.idem, check=False)
+        mono = target.subobject(host, target._image_lattice(p))
+        ret = target.solve_right_factor(mono, p)
+        if ret is None:
+            raise InternalCheckError("idempotent image retraction is missing")
+        data = SplitData(mono.dom, mono.matrix, ret.matrix)
         self._splits[payload] = data
         return data
 

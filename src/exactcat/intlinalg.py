@@ -1,11 +1,12 @@
-"""Exact linear algebra over the integers and prime fields.
+"""Exact linear algebra over the integers.
 
 Everything downstream (kernels, cokernels, pushouts, homotopy solving)
 reduces to the primitives in this module: Smith normal form with
-unimodular transforms, Hermite bases for lattices, exact solving of
-integer linear systems and congruence systems, and Gaussian elimination
-modulo a prime.  All matrices are immutable grids of unbounded Python
-integers; there is no floating point anywhere.
+unimodular transforms, Hermite bases for lattices, and exact solving of
+integer linear systems and congruence systems.  Vector spaces over F_p
+are the presented groups Z^n / p Z^n, so they need no separate backend.
+All matrices are immutable grids of unbounded Python integers; there is
+no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -744,7 +745,7 @@ def preimage_basis(m: IntMatrix, lattice_gens: IntMatrix) -> IntMatrix:
     return column_hnf(top)
 
 
-# -- prime-field backend ---------------------------------------------
+# -- primality -------------------------------------------------------
 
 
 # Miller-Rabin with the first 13 prime bases decides primality exactly below
@@ -782,60 +783,6 @@ def _check_prime(p: int) -> None:
                 break
         else:
             raise ValueError(f"{p} is not prime")
-
-
-def rref_mod_p(a: IntMatrix, p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form mod p; returns (grid, pivot columns)."""
-    m = [[x % p for x in row] for row in a.entries]
-    pivots: list[int] = []
-    r = 0
-    for j in range(a.cols):
-        piv = next((i for i in range(r, a.rows) if m[i][j] % p), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][j], -1, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(a.rows):
-            if i != r and m[i][j]:
-                f = m[i][j]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        pivots.append(j)
-        r += 1
-        if r == a.rows:
-            break
-    return m, pivots
-
-
-def rank_mod_p(a: IntMatrix, p: int) -> int:
-    return len(rref_mod_p(a, p)[1])
-
-
-def solve_mod_p(a: IntMatrix, b: Sequence[int], p: int) -> Optional[tuple[int, ...]]:
-    """Some solution of a x = b (mod p), entries lifted into [0, p)."""
-    aug = IntMatrix.hstack(a, IntMatrix.column(list(b)))
-    m, pivots = rref_mod_p(aug, p)
-    if a.cols in pivots:
-        return None
-    x = [0] * a.cols
-    for r, j in enumerate(pivots):
-        x[j] = m[r][a.cols] % p
-    return tuple(x)
-
-
-def kernel_mod_p(a: IntMatrix, p: int) -> IntMatrix:
-    """Integer lifts (entries in [0, p)) of a kernel basis of a mod p."""
-    m, pivots = rref_mod_p(a, p)
-    free = [j for j in range(a.cols) if j not in pivots]
-    cols = []
-    for j in free:
-        v = [0] * a.cols
-        v[j] = 1
-        for r, pj in enumerate(pivots):
-            v[pj] = (-m[r][j]) % p
-        cols.append(v)
-    return IntMatrix(a.cols, len(cols),
-                     tuple(tuple(c[i] for c in cols) for i in range(a.cols)))
 
 
 # -- linear systems in matrix unknowns --------------------------------

@@ -47,7 +47,6 @@ from .kernel import (
     GenBounds,
     IsoInvariants,
     MorphismHandle,
-    MorphismSystem,
     ObjectHandle,
     PreconditionError,
     ShortExactSequence,
@@ -407,45 +406,21 @@ class VectModel(FgabModel):
 
 
 class SplitModel(PresentedModel):
-    """The split exact structure: admissibility is decided by solving for
-    splitting witnesses, and analyses come from splitting idempotents."""
+    """The split exact structure: admissibility is decided by one-sided
+    inverses, and an arrow is analysed through its ambient factorisation."""
 
     def analyze(self, f: MorphismHandle) -> Optional[Analysis]:
-        # f factors split-epic-then-split-monic iff f is regular
-        # (f g f = f for some morphism g) and the idempotents g f, f g
-        # split in the model; the analysis falls out of the splitting data.
-        sys = MorphismSystem(self)
-        sys.unknown_morphism("g", f.cod, f.dom)
-        sys.equation([("g", f.matrix, f.matrix)], f.matrix, cod=f.cod)
-        sol = sys.solve()
-        if sol is None:
+        # f is admissible iff it factors as a split epic followed by a split
+        # monic, i.e. iff its ambient kernel k and image monic m are split.
+        # If k has a left inverse r, then 1 - k r kills k, so 1 - k r = t e
+        # for the coimage epic e, and e t e = e gives e t = 1.  If m is
+        # split, its cokernel is split.  Conversely an admissible f has a
+        # summand kernel and a summand image.
+        an = super().analyze(f)
+        if an is None or not self.is_admissible_monic(an.kernel_arrow) \
+                or not self.is_admissible_monic(an.image_monic):
             return None
-        g = sol["g"]
-        u = g @ f            # idempotent on dom
-        w = f @ g            # idempotent on cod
-        one_dom = self.identity(f.dom)
-        one_cod = self.identity(f.cod)
-        k = self._idempotent_image_monic(u.dom, one_dom - u)
-        m = self._idempotent_image_monic(w.cod, w)
-        if k is None or m is None:
-            return None
-        e = self.solve_right_factor(m, f)
-        c_monic = self._idempotent_image_monic(w.cod, one_cod - w)
-        if e is None or c_monic is None:
-            return None
-        # retraction onto the complement-image presents the cokernel
-        c = self.solve_right_factor(c_monic, one_cod - w)
-        if c is None:
-            return None
-        return Analysis(k, e, m, c)
-
-    def _idempotent_image_monic(self, a: ObjectHandle,
-                                w: MorphismHandle) -> Optional[MorphismHandle]:
-        """Monic from the image of the idempotent w on a, if it is an object."""
-        try:
-            return self.subobject(a, self._image_lattice(w))
-        except PreconditionError:
-            return None
+        return an
 
     def is_admissible_monic(self, f: MorphismHandle) -> bool:
         # a left inverse must exist

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from exactcat.completion import (
+    CompletedModel,
     ComposedFunctor,
     IdentityFunctor,
     complete,
@@ -15,9 +16,9 @@ from exactcat.complexes import (
     periodic_is_acyclic,
     periodic_null_homotopy,
 )
-from exactcat.intlinalg import IntMatrix
+from exactcat.intlinalg import IntMatrix, column_hnf, solve_columns_mod_lattice
 from exactcat.kernel import GenBounds, PreconditionError
-from exactcat.models import cyclic, even_rank_split, fgab, free_split
+from exactcat.models import cyclic, even_rank_split, fgab, fgab_split, free_split
 from exactcat.resolutions import FunctorSpec
 
 B = GenBounds()
@@ -269,3 +270,28 @@ def test_completion_summand_closure():
     comp = complete(even_rank_split())
     rep = check_summands(comp, LawConfig(seed=52, iterations=15))
     assert rep.passed, rep.to_json()[:800]
+
+
+@pytest.mark.parametrize("base", [even_rank_split(), fgab_split()],
+                         ids=lambda m: m.model_id)
+def test_split_data_matches_per_base_formulas(base):
+    # _split goes through the target model alone; on a free host that is the
+    # column Hermite basis of p with a column solve, otherwise the base's
+    # image subobject with its retraction
+    model = CompletedModel(base)
+    rng = random.Random(81)
+    objs = [model.zero_object()] + [model.random_object(rng, B) for _ in range(30)]
+    objs += [model.embed(base.random_object(rng, B)) for _ in range(5)]
+    for a in objs:
+        host, p = a.payload.base, a.payload.idem
+        if base.idempotent_complete:
+            pm = base.morphism(host, host, p, check=False)
+            mono = base.subobject(host, base._image_lattice(pm))
+            target, monic = mono.dom, mono.matrix
+            retract = base.solve_right_factor(mono, pm).matrix
+        else:
+            monic = column_hnf(p)
+            target = free_split().object(monic.cols)
+            retract = solve_columns_mod_lattice(monic, p, IntMatrix.zeros(p.rows, 0))
+        got = model._split(a)
+        assert (got.target, got.monic, got.retract) == (target, monic, retract), a

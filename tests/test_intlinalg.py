@@ -10,19 +10,16 @@ from exactcat.intlinalg import (
     _check_prime,
     column_hnf,
     kernel_basis,
-    kernel_mod_p,
     lattice_contains,
     lattice_equal,
     lattice_membership,
     preimage_basis,
-    rank_mod_p,
     reduce_columns_mod_lattice,
     saturation,
     smith_normal_form,
     solve_integer,
     solve_columns_mod_lattice,
     solve_mod_lattice,
-    solve_mod_p,
     solve_rows_mod_lattice,
     unimodular_inverse,
 )
@@ -250,20 +247,6 @@ def test_reduce_columns_mod_lattice():
     lat = IntMatrix.from_rows([[3, 0], [0, 2]])
     red = reduce_columns_mod_lattice(m, lat)
     assert red == IntMatrix.from_rows([[1], [1]])
-
-
-def test_mod_p_backend():
-    a = IntMatrix.from_rows([[1, 2], [2, 4]])
-    assert rank_mod_p(a, 5) == 1
-    assert rank_mod_p(a, 2) == 1
-    x = solve_mod_p(a, [3, 6], 5)
-    assert x is not None
-    assert all((sum(a.entries[i][j] * x[j] for j in range(2)) - [3, 6][i]) % 5 == 0
-               for i in range(2))
-    k = kernel_mod_p(a, 5)
-    assert k.cols == 1
-    prod = a @ k
-    assert all(prod.entries[i][0] % 5 == 0 for i in range(2))
 
 
 def test_matrix_equation_system():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from exactcat.intlinalg import IntMatrix, column_hnf, kernel_mod_p
+from exactcat.intlinalg import IntMatrix, column_hnf
 from exactcat.completion import CompletedModel, complete
 from exactcat.kernel import GenBounds, MorphismSystem, PreconditionError
 from exactcat.models import (
@@ -258,6 +258,35 @@ def test_analysis_factorization_unique_up_to_iso():
         assert (an2.image_monic @ comp).same_as(an1.image_monic)
 
 
+def _kernel_mod_p(a, p):
+    # Gauss-Jordan elimination over F_p; integer lifts (entries in [0, p))
+    # of a basis of the kernel of a mod p, one column per free variable
+    m = [[x % p for x in row] for row in a.entries]
+    pivots = []
+    for j in range(a.cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, a.rows) if m[i][j]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][j], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(a.rows):
+            if i != r and m[i][j]:
+                c = m[i][j]
+                m[i] = [(x - c * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(j)
+    cols = []
+    for j in (j for j in range(a.cols) if j not in pivots):
+        v = [0] * a.cols
+        v[j] = 1
+        for r, pj in enumerate(pivots):
+            v[pj] = -m[r][j] % p
+        cols.append(v)
+    return IntMatrix(a.cols, len(cols), tuple(tuple(c[i] for c in cols)
+                                              for i in range(a.cols)))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_vect_kernel_lattice_matches_mod_p_elimination(p):
     # the generic lattice preimage agrees with Gaussian elimination mod p
@@ -268,7 +297,7 @@ def test_vect_kernel_lattice_matches_mod_p_elimination(p):
         m = IntMatrix.from_rows([[rng.randint(-2 * p, 2 * p) for _ in range(n)]
                                  for _ in range(k)], cols=n)
         f = model.morphism(vect(n, p), vect(k, p), m)
-        expected = column_hnf(IntMatrix.hstack(kernel_mod_p(m, p),
+        expected = column_hnf(IntMatrix.hstack(_kernel_mod_p(m, p),
                                                IntMatrix.diagonal([p] * n)))
         assert model._kernel_lattice(f) == expected
 
@@ -339,3 +368,64 @@ def test_split_exactness_matches_witness_system(model):
             assert got == expected, (model.model_id, i, p)
         seen[got] += 1
     assert seen[False] >= 10, seen
+
+
+def _regular_splitting_oracle(f):
+    # The two-sided criterion: some g with f g f = f, from one assembled
+    # system, and the images of 1 - g f, f g and 1 - f g are objects.
+    model = f.model
+    if isinstance(model, CompletedModel):
+        f, model = model.to_target(f), model.target
+    sys = MorphismSystem(model)
+    sys.unknown_morphism("g", f.cod, f.dom)
+    sys.equation([("g", f.matrix, f.matrix)], f.matrix, cod=f.cod)
+    sol = sys.solve()
+    if sol is None:
+        return False
+    g = sol["g"]
+    one_dom, one_cod = model.identity(f.dom), model.identity(f.cod)
+    for host, w in ((f.dom, one_dom - g @ f), (f.cod, f @ g), (f.cod, one_cod - f @ g)):
+        try:
+            model.subobject(host, model._image_lattice(w))
+        except PreconditionError:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("model", [fgab_split(), free_split(), even_rank_split(),
+                                   complete(even_rank_split())],
+                         ids=lambda m: m.model_id)
+def test_split_analysis_matches_regular_splitting(model):
+    # analyze reads admissibility off the ambient factorisation; the oracle
+    # is the generalised-inverse criterion it replaces
+    rng = random.Random(71)
+    cases = []
+    if model is fgab_split():
+        z, z2, z4 = free(1, model), cyclic(2, model), cyclic(4, model)
+        cases += [(model.morphism(z, z, IntMatrix.from_rows([[2]])), False),
+                  (model.morphism(z2, z4, IntMatrix.from_rows([[2]])), False),
+                  (model.morphism(z4, z2, IntMatrix.identity(1)), False)]
+    if model is even_rank_split():
+        host = model.object(2)
+        cases.append((model.morphism(host, host, IntMatrix.diagonal([1, 0])), False))
+    for _ in range(25):
+        a, b = model.random_object(rng, B), model.random_object(rng, B)
+        f = model.random_morphism(rng, a, b)
+        cases += [(model.random_admissible(rng, B), True), (f, None), (f + f, None)]
+    seen = {True: 0, False: 0}
+    for f, expected in cases:
+        an = model.analyze(f)
+        got = an is not None
+        assert got == _regular_splitting_oracle(f), (model.model_id, f)
+        if expected is not None:
+            assert got == expected, (model.model_id, f)
+        seen[got] += 1
+        if an is None:
+            continue
+        k, e, m, c = an.kernel_arrow, an.coimage_epic, an.image_monic, an.cokernel_arrow
+        assert (m @ e).same_as(f)
+        assert (f @ k).is_zero() and (c @ f).is_zero()
+        assert model.is_short_exact(k, e) and model.is_short_exact(m, c)
+        assert model.is_admissible_monic(k) and model.is_admissible_monic(m)
+        assert model.is_admissible_epic(e) and model.is_admissible_epic(c)
+    assert seen[True] >= 25 and seen[False] >= 5, seen
