@@ -39,22 +39,6 @@ def _invariants_json(inv) -> dict:
     return {"free_rank": inv.free_rank, "torsion": list(inv.torsion_factors)}
 
 
-def _invariants_str(inv) -> str:
-    parts = []
-    if inv.free_rank == 1:
-        parts.append("Z")
-    elif inv.free_rank > 1:
-        parts.append(f"Z^{inv.free_rank}")
-    parts.extend(f"Z/{d}" for d in inv.torsion_factors)
-    return " + ".join(parts) if parts else "0"
-
-
-def _matrix_str(m) -> str:
-    if m.rows == 0 or m.cols == 0:
-        return f"({m.rows}x{m.cols})"
-    return "[" + "; ".join(" ".join(str(x) for x in row) for row in m.entries) + "]"
-
-
 # -- commands -----------------------------------------------------------------
 
 

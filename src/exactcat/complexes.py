@@ -186,11 +186,6 @@ def translate(x: ChainComplex, k: int) -> ChainComplex:
     return ChainComplex(x.model, x.lo - k, comps, diffs)
 
 
-def translate_chain_map(f: ChainMap, k: int) -> ChainMap:
-    return ChainMap(translate(f.source, k), translate(f.target, k),
-                    {n - k: g for n, g in f.comps.items()})
-
-
 @dataclass(frozen=True, eq=False)
 class ConeData:
     complex: ChainComplex
@@ -486,46 +481,24 @@ def check_cone_acyclic(f: ChainMap) -> ConeAcyclicityResult:
 
 
 def strict_triangle_section(f: ChainMap) -> Optional[ChainMap]:
-    """A complex-level section of cone(f) ->> Sigma A, when one exists.
+    """A complex-level section of cone(f) ->> Sigma A, or None.
 
-    The degreewise splittings assemble to a chain-map section exactly when
-    f is null-homotopic; this solves for the section globally.
+    A section exists exactly when f is null-homotopic, and it is read off
+    a null homotopy h of f as s^n = inj1 - inj2 h^{n+1}.
     """
-    model = f.model
-    tri = strict_triangle(f)
-    cone, sa = tri.cone.complex, tri.projection.target
-    sys = MorphismSystem(model)
-    degs = [n for n in cone.degrees()
-            if model._gens(sa.component(n).payload) and
-            model._gens(cone.component(n).payload)]
-    for n in degs:
-        sys.unknown_morphism(f"s{n}", sa.component(n), cone.component(n))
-        sys.equation([(f"s{n}", tri.projection.component(n).matrix,
-                       IntMatrix.identity(model._gens(sa.component(n).payload)))],
-                     model.identity(sa.component(n)).matrix, cod=sa.component(n))
-    for n in cone.degrees():
-        # chain map condition d_c s^n = s^{n+1} d_sa
-        terms = []
-        rows = model._gens(cone.component(n + 1).payload)
-        cols = model._gens(sa.component(n).payload)
-        if rows == 0 or cols == 0:
-            continue
-        if n in degs:
-            terms.append((f"s{n}", cone.differential(n).matrix,
-                          IntMatrix.identity(cols)))
-        if n + 1 in degs:
-            terms.append((f"s{n + 1}",
-                          IntMatrix.identity(rows).scale(-1),
-                          sa.differential(n).matrix))
-        if terms:
-            sys.equation(terms,
-                         model.zero_morphism(sa.component(n),
-                                             cone.component(n + 1)).matrix,
-                         cod=cone.component(n + 1))
-    sol = sys.solve()
-    if sol is None:
+    # A degreewise section of proj1 : A^{n+1} + B^n ->> A^{n+1} is (1; k^n)
+    # with k^n : A^{n+1} -> B^n.  The cone differential is (-d_A, 0; f, d_B)
+    # and Sigma A has differential -d_A, so (1; k) is a chain map exactly
+    # when f^{n+1} + d_B k^n = -k^{n+1} d_A, i.e. when h^{n+1} = -k^n
+    # satisfies f^{n+1} = d_B h^{n+1} + h^{n+2} d_A: -k is a null homotopy.
+    h = find_null_homotopy(f)
+    if h is None:
         return None
-    return chain_map(sa, cone, {n: sol[f"s{n}"] for n in degs}, check=True)
+    tri = strict_triangle(f)
+    return chain_map(tri.projection.target, tri.cone.complex,
+                     {n: bp.inj1 - bp.inj2 @ h.component(n + 1)
+                      for n, bp in tri.cone.parts.items()},
+                     check=True)
 
 
 def factor_through_cone(f: ChainMap, g: ChainMap, h: ChainHomotopy) -> ChainMap:
@@ -562,6 +535,9 @@ class PeriodicComplex:
     indices are taken cyclically.  This is the honest home of the
     idempotent counterexamples: their periodic total complexes are
     null-homotopic, while no bounded truncation is.
+
+    Any cyclic d^2 = 0 data is accepted, but `periodic_null_homotopy`
+    supports only the complexes of `periodic_idempotent_complex`.
     """
 
     model: object
@@ -598,28 +574,24 @@ def periodic_idempotent_complex(model, a: ObjectHandle, p: MorphismHandle,
     return PeriodicComplex(model, comps, diffs)
 
 
-def periodic_null_homotopy(x: PeriodicComplex) -> Optional[dict[int, MorphismHandle]]:
-    """h^j with 1 = d^{j-1} h^j + h^{j+1} d^j cyclically, or None."""
-    model = x.model
-    k = x.period
-    sys = MorphismSystem(model)
-    for j in range(k):
-        sys.unknown_morphism(f"h{j}", x.components[j], x.components[(j - 1) % k])
-    for j in range(k):
-        cols = model._gens(x.components[j].payload)
-        rows = cols
-        if cols == 0:
-            continue
-        sys.equation([(f"h{j}", x.differentials[(j - 1) % k].matrix,
-                       IntMatrix.identity(cols)),
-                      (f"h{(j + 1) % k}", IntMatrix.identity(rows),
-                       x.differentials[j].matrix)],
-                     model.identity(x.components[j]).matrix,
-                     cod=x.components[j])
-    sol = sys.solve()
-    if sol is None:
-        return None
-    return {j: sol[f"h{j}"] for j in range(k)}
+def periodic_null_homotopy(x: PeriodicComplex) -> dict[int, MorphismHandle]:
+    """The contraction h^j = d^{j-1}, checked: 1 = d^{j-1} h^j + h^{j+1} d^j.
+
+    Supported are the complexes of `periodic_idempotent_complex`: one
+    object A with differentials alternating an idempotent p and 1 - p.
+    There (1 - p)^2 + p^2 = 1, so the closed form is a contraction in any
+    additive category.  On any other complex the closed form decides
+    nothing, so a failed check raises PreconditionError.
+    """
+    k, d = x.period, x.differentials
+    h = {j: d[(j - 1) % k] for j in range(k)}
+    if not (all(c == x.components[0] for c in x.components) and all(
+            (d[(j - 1) % k] @ h[j] + h[(j + 1) % k] @ d[j]).same_as(
+                x.model.identity(x.components[j])) for j in range(k))):
+        raise PreconditionError(
+            "periodic_null_homotopy needs one object A with differentials "
+            "p and 1 - p for an idempotent p (periodic_idempotent_complex)")
+    return h
 
 
 def periodic_is_acyclic(x: PeriodicComplex) -> Optional[dict[int, Analysis]]:

@@ -105,9 +105,6 @@ def ses_morphism(source: ShortExactSequence, target: ShortExactSequence,
 
 def compose_ses_morphisms(n: SesMorphism, m: SesMorphism) -> SesMorphism:
     """The composite n o m of two composable maps of short exact sequences."""
-    if m.target is not n.source and (m.target.i is not n.source.i):
-        # structural sanity; arrow-level compatibility is checked by compose
-        pass
     return ses_morphism(m.source, n.target, n.a @ m.a, n.b @ m.b, n.c @ m.c,
                         check=False)
 

@@ -361,7 +361,3 @@ def load_document(path: str) -> Document:
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read document {path!r}: {exc}") from exc
     return document_from_jsonable(data)
-
-
-def dump_document(doc: Document) -> str:
-    return json.dumps(document_to_jsonable(doc), sort_keys=True, indent=2)

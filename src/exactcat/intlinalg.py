@@ -195,9 +195,6 @@ class IntMatrix:
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
 
-    def max_abs(self) -> int:
-        return max((abs(a) for row in self.entries for a in row), default=0)
-
     def __repr__(self) -> str:  # compact, for test failure readability
         if self.rows == 0 or self.cols == 0:
             return f"IntMatrix({self.rows}x{self.cols})"

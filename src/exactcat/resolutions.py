@@ -531,9 +531,6 @@ def derived_les(functor: FunctorSpec, s: ShortExactSequence,
     f_mid = functor.apply_complex(p_mid.complex)
     f_quot = functor.apply_complex(p_quot.complex)
 
-    def at_degree(n: int, res: Resolution) -> int:
-        return n if not functor.contravariant else -n
-
     # degreewise maps of the transformed column sequences
     inj_comps, proj_comps, sect_comps = {}, {}, {}
     for k in range(len(hs.columns)):

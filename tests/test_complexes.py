@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from exactcat.completion import complete
 from exactcat.complexes import (
+    PeriodicComplex,
     chain_complex,
     chain_map,
     check_cone_acyclic,
@@ -25,8 +27,16 @@ from exactcat.complexes import (
     zero_chain_map,
 )
 from exactcat.intlinalg import IntMatrix
-from exactcat.kernel import GenBounds, PreconditionError
-from exactcat.models import cyclic, even_rank_split, fgab, free, iso_invariants
+from exactcat.kernel import GenBounds, MorphismSystem, PreconditionError
+from exactcat.models import (
+    cyclic,
+    even_rank_split,
+    fgab,
+    fgab_split,
+    free,
+    free_split,
+    iso_invariants,
+)
 
 B = GenBounds()
 M = fgab()
@@ -286,6 +296,124 @@ def test_strict_triangle_section_iff_null_homotopic():
     zmap = zero_chain_map(x, x)
     assert find_null_homotopy(zmap) is not None
     assert strict_triangle_section(zmap) is not None
+
+
+def test_periodic_null_homotopy_rejects_other_complexes():
+    # d = [[0, 1], [0, 0]] on Z^2 with period 2 is contractible by
+    # h = [[0, 0], [1, 0]], so returning None would be false: the closed
+    # form only covers periodic idempotent complexes and must refuse
+    z2 = free(2)
+    d = mor(z2, z2, [[0, 1], [0, 0]])
+    h = mor(z2, z2, [[0, 0], [1, 0]])
+    assert (d @ h + h @ d).same_as(M.identity(z2))
+    x = PeriodicComplex(M, (z2, z2), (d, d))
+    with pytest.raises(PreconditionError, match="idempotent"):
+        periodic_null_homotopy(x)
+
+
+ORACLE_MODELS = [fgab(), free_split(), even_rank_split(),
+                 complete(even_rank_split()), complete(fgab_split())]
+SMALL = GenBounds(max_gens=2)
+
+
+def _periodic_oracle(x):
+    # The assembled cyclic system: 1 = d^{j-1} h^j + h^{j+1} d^j for all j.
+    model, k = x.model, x.period
+    sys = MorphismSystem(model)
+    for j in range(k):
+        sys.unknown_morphism(f"h{j}", x.components[j], x.components[(j - 1) % k])
+    for j in range(k):
+        n = model._gens(x.components[j].payload)
+        if n == 0:
+            continue
+        sys.equation([(f"h{j}", x.differentials[(j - 1) % k].matrix, IntMatrix.identity(n)),
+                      (f"h{(j + 1) % k}", IntMatrix.identity(n), x.differentials[j].matrix)],
+                     model.identity(x.components[j]).matrix, cod=x.components[j])
+    return sys.solve() is not None
+
+
+@pytest.mark.parametrize("model", ORACLE_MODELS, ids=lambda m: m.model_id)
+def test_periodic_contraction_matches_assembled_system(model):
+    rng = random.Random(83)
+    for period in (2, 4, 6):
+        for _ in range(3):
+            a, p = model.random_split_pair(rng, SMALL)
+            x = periodic_idempotent_complex(model, a, p, period)
+            h = periodic_null_homotopy(x)
+            assert _periodic_oracle(x), (model.model_id, period, p)
+            for j in range(period):
+                one = x.differentials[j - 1] @ h[j] + h[(j + 1) % period] @ x.differentials[j]
+                assert one.same_as(model.identity(a))
+
+
+def _section_oracle(f):
+    # The assembled system: proj s^n = 1 and d_cone s^n = s^{n+1} d_{Sigma A}.
+    model = f.model
+    tri = strict_triangle(f)
+    cone, sa = tri.cone.complex, tri.projection.target
+    sys = MorphismSystem(model)
+    degs = [n for n in cone.degrees()
+            if model._gens(sa.component(n).payload) and model._gens(cone.component(n).payload)]
+    for n in degs:
+        cols = model._gens(sa.component(n).payload)
+        sys.unknown_morphism(f"s{n}", sa.component(n), cone.component(n))
+        sys.equation([(f"s{n}", tri.projection.component(n).matrix, IntMatrix.identity(cols))],
+                     model.identity(sa.component(n)).matrix, cod=sa.component(n))
+    for n in cone.degrees():
+        rows = model._gens(cone.component(n + 1).payload)
+        cols = model._gens(sa.component(n).payload)
+        if rows == 0 or cols == 0:
+            continue
+        terms = []
+        if n in degs:
+            terms.append((f"s{n}", cone.differential(n).matrix, IntMatrix.identity(cols)))
+        if n + 1 in degs:
+            terms.append((f"s{n + 1}", IntMatrix.identity(rows).scale(-1),
+                          sa.differential(n).matrix))
+        if terms:
+            sys.equation(terms, IntMatrix.zeros(rows, cols), cod=cone.component(n + 1))
+    return sys.solve() is not None
+
+
+def _random_two_term(model, rng):
+    a, b = model.random_object(rng, SMALL), model.random_object(rng, SMALL)
+    x = object_as_complex(a)
+    if rng.random() < 0.3:   # cone of an identity: contractible
+        return mapping_cone(identity_chain_map(x))
+    return mapping_cone(chain_map(x, object_as_complex(b),
+                                  {0: model.random_morphism(rng, a, b)}))
+
+
+def _homotopic_to_multiple_of_identity(model, rng, x, c):
+    # c 1 + d h + h d for a random degree -1 map h: null-homotopic for
+    # c = 0, and for c != 0 exactly when c 1 is
+    hs = {n: model.random_morphism(rng, x.component(n), x.component(n - 1))
+          for n in range(x.lo, x.hi + 2)}
+    comps = {}
+    for n in x.degrees():
+        g = x.differential(n - 1) @ hs[n] + hs[n + 1] @ x.differential(n)
+        for _ in range(c):
+            g = g + model.identity(x.component(n))
+        comps[n] = g
+    return chain_map(x, x, comps)
+
+
+@pytest.mark.parametrize("model", ORACLE_MODELS, ids=lambda m: m.model_id)
+def test_strict_triangle_section_matches_assembled_system(model):
+    rng = random.Random(89)
+    seen = {True: 0, False: 0}
+    for _ in range(12):
+        x = _random_two_term(model, rng)
+        for c in (0, 1, 2):
+            f = _homotopic_to_multiple_of_identity(model, rng, x, c)
+            s = strict_triangle_section(f)
+            assert (s is not None) == _section_oracle(f), (model.model_id, c)
+            seen[s is not None] += 1
+            if s is None:
+                continue
+            tri = strict_triangle(f)
+            assert (tri.projection @ s).same_as(identity_chain_map(s.source))
+    assert seen[True] and seen[False], seen
 
 
 def test_factor_through_cone():

@@ -2,7 +2,8 @@ import pytest
 
 from exactcat.completion import complete
 from exactcat.intlinalg import IntMatrix
-from exactcat.kernel import PreconditionError
+from exactcat.documents import parse_model_name
+from exactcat.kernel import GenBounds, PreconditionError
 from exactcat.laws import (
     LawConfig,
     check_axioms,
@@ -201,6 +202,16 @@ def test_raising_construction_recorded_as_failure():
     # reports remain byte-identical across reruns even with error records
     rep2 = check_axioms(bad, LawConfig(seed=1, iterations=5))
     assert rep.to_json() == rep2.to_json()
+
+
+def test_periodic_instance_on_completion_at_max_gens_4():
+    # an 8-generator periodic complex: its contraction takes minutes as an
+    # assembled 384x384 system and well under a second in closed form
+    rep = check_nh_acyclic(parse_model_name("completion:even_rank_split"),
+                           LawConfig(seed=105, iterations=5,
+                                     bounds=GenBounds(max_gens=4, max_rel_entry=9,
+                                                      max_entry=9)))
+    assert_passes(rep)
 
 
 def test_shrinking_drops_generators():
