@@ -7,6 +7,11 @@ integer linear systems and congruence systems.  Vector spaces over F_p
 are the presented groups Z^n / p Z^n, so they need no separate backend.
 All matrices are immutable grids of unbounded Python integers; there is
 no floating point anywhere.
+
+One Hermite elimination serves every caller.  Lattice bases, membership
+and preimages need only the canonical H (``column_hnf``); only ``_Solver``
+and ``unimodular_inverse`` need the transform V (``column_hnf_transform``),
+whose entries grow far beyond those of H.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
@@ -82,10 +87,6 @@ class IntMatrix:
             for i in range(r)))
 
     @staticmethod
-    def column(values: Sequence[int]) -> "IntMatrix":
-        return IntMatrix(len(values), 1, tuple((int(v),) for v in values))
-
-    @staticmethod
     def hstack(*mats: "IntMatrix") -> "IntMatrix":
         if not mats:
             raise DimensionMismatch("hstack of nothing")
@@ -108,19 +109,13 @@ class IntMatrix:
 
     @staticmethod
     def block_diag(*mats: "IntMatrix") -> "IntMatrix":
-        rows = sum(m.rows for m in mats)
         cols = sum(m.cols for m in mats)
-        data = [[0] * cols for _ in range(rows)]
-        r0 = c0 = 0
+        data = []
+        c0 = 0
         for m in mats:
-            for i in range(m.rows):
-                row = data[r0 + i]
-                ent = m.entries[i]
-                for j in range(m.cols):
-                    row[c0 + j] = ent[j]
-            r0 += m.rows
+            data.extend((0,) * c0 + row + (0,) * (cols - c0 - m.cols) for row in m.entries)
             c0 += m.cols
-        return IntMatrix(rows, cols, tuple(tuple(r) for r in data))
+        return IntMatrix(len(data), cols, tuple(data))
 
     @staticmethod
     def kron(a: "IntMatrix", b: "IntMatrix") -> "IntMatrix":
@@ -173,9 +168,6 @@ class IntMatrix:
         return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)))
 
     # -- accessors ----------------------------------------------------
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i][j]
 
     def column_at(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
@@ -383,28 +375,23 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular square matrix (U A V = I gives A^-1 = V U)."""
+    """Exact inverse of a unimodular square matrix: m @ V = H = I in Hermite form."""
     if m.rows != m.cols:
         raise DimensionMismatch("only square matrices can be unimodular")
-    snf = smith_normal_form(m)
-    if snf.D != IntMatrix.identity(m.rows):
+    h, v = column_hnf_transform(m)
+    if h != IntMatrix.identity(m.rows):
         raise ValueError("matrix is not unimodular")
-    return snf.V @ snf.U
+    return v
 
 
-@lru_cache(maxsize=None)
-def column_hnf_transform(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Column Hermite basis with its unimodular transform: a @ V = [H | 0].
-
-    Unlike full Smith reduction, Hermite elimination keeps entries reduced
-    modulo the pivots, which is what makes solving large assembled systems
-    feasible; the kernel of ``a`` is spanned by the trailing columns of V.
+def _hermite(cols: list[list[int]], pivot_rows: int) -> int:
+    """Column Hermite elimination in place on the first ``pivot_rows`` entries;
+    returns the number of pivot columns, which come first.  Later entries
+    ride along, which is how a transform (an appended identity) is tracked.
     """
-    n, c = a.rows, a.cols
-    cols = [list(a.column_at(j)) for j in range(c)]
-    vcols = [[1 if i == j else 0 for i in range(c)] for j in range(c)]
+    c = len(cols)
     fixed = 0
-    for r in range(n):
+    for r in range(pivot_rows):
         while True:
             live = [j for j in range(fixed, c) if cols[j][r]]
             if len(live) <= 1:
@@ -415,26 +402,39 @@ def column_hnf_transform(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 q = cols[j][r] // cols[j0][r]
                 if q:
                     cols[j] = [x - q * y for x, y in zip(cols[j], cols[j0])]
-                    vcols[j] = [x - q * y for x, y in zip(vcols[j], vcols[j0])]
         live = [j for j in range(fixed, c) if cols[j][r]]
         if not live:
             continue
         j0 = live[0]
         cols[fixed], cols[j0] = cols[j0], cols[fixed]
-        vcols[fixed], vcols[j0] = vcols[j0], vcols[fixed]
         if cols[fixed][r] < 0:
             cols[fixed] = [-x for x in cols[fixed]]
-            vcols[fixed] = [-x for x in vcols[fixed]]
         piv = cols[fixed][r]
         for j in range(fixed):
             q = cols[j][r] // piv
             if q:
                 cols[j] = [x - q * y for x, y in zip(cols[j], cols[fixed])]
-                vcols[j] = [x - q * y for x, y in zip(vcols[j], vcols[fixed])]
         fixed += 1
-    h = IntMatrix(n, fixed, tuple(tuple(cols[j][i] for j in range(fixed)) for i in range(n)))
-    v = IntMatrix(c, c, tuple(tuple(vcols[j][i] for j in range(c)) for i in range(c)))
-    return h, v
+    return fixed
+
+
+def _from_columns(rows: int, cols: Sequence[Sequence[int]], start: int = 0) -> IntMatrix:
+    """The matrix whose columns are ``cols``, each read from entry ``start`` on."""
+    return IntMatrix(rows, len(cols), tuple(tuple(col[start + i] for col in cols)
+                                            for i in range(rows)))
+
+
+@lru_cache(maxsize=None)
+def column_hnf_transform(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Column Hermite basis with its unimodular transform: a @ V = [H | 0].
+
+    Only ``_Solver`` and ``unimodular_inverse`` need V, where the
+    coefficients grow; the kernel is spanned by its trailing columns.
+    """
+    n, c = a.rows, a.cols
+    cols = [list(a.column_at(j)) + [1 if i == j else 0 for i in range(c)] for j in range(c)]
+    fixed = _hermite(cols, n)
+    return _from_columns(n, cols[:fixed]), _from_columns(c, cols, n)
 
 
 @lru_cache(maxsize=None)
@@ -444,44 +444,41 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     return v.take_columns(range(h.cols, a.cols))
 
 
+@lru_cache(maxsize=None)
 def column_hnf(a: IntMatrix) -> IntMatrix:
     """Canonical column Hermite basis of the lattice spanned by the columns.
 
     Pivots are positive, pivot rows strictly increase, and the entries of
     earlier columns in a pivot row are reduced into [0, pivot).  Zero
-    columns are dropped, so the result is a canonical basis.
+    columns are dropped, so the result is a canonical basis.  No V is kept.
     """
-    return column_hnf_transform(a)[0]
+    cols = [list(a.column_at(j)) for j in range(a.cols)]
+    return _from_columns(a.rows, cols[:_hermite(cols, a.rows)])
 
 
 def saturation(a: IntMatrix) -> IntMatrix:
     """Canonical basis of the saturation {x : k x in col(a) for some k != 0}."""
     snf = smith_normal_form(a)
-    rank = snf.rank
-    uinv = unimodular_inverse(snf.U)
-    return column_hnf(uinv.take_columns(range(rank)))
+    return column_hnf(unimodular_inverse(snf.U).take_columns(range(snf.rank)))
+
+
+def _pivots(h: IntMatrix) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(pivot row, column) for each column of a Hermite basis."""
+    return tuple((next(i for i, x in enumerate(col) if x), col) for col in zip(*h.entries))
 
 
 @lru_cache(maxsize=None)
-def _lattice_reducer(lattice_gens: IntMatrix) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """(pivot row, pivot, column) for each column of the lattice's HNF.
-
-    Keyed on the same matrices as ``column_hnf_transform``, so this cache
-    holds no more entries than that one.
-    """
-    h = column_hnf(lattice_gens)
-    out = []
-    for col in zip(*h.entries):
-        pr = next(i for i, x in enumerate(col) if x)
-        out.append((pr, col[pr], col))
-    return tuple(out)
+def _lattice_reducer(lattice_gens: IntMatrix) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The pivots of the lattice's HNF, keyed on the same matrices as
+    ``column_hnf``, so this cache holds no more entries than that one."""
+    return _pivots(column_hnf(lattice_gens))
 
 
 def reduce_columns_mod_lattice(m: IntMatrix, lattice_gens: IntMatrix) -> IntMatrix:
     """Canonically reduce each column of ``m`` modulo the lattice.
 
     The result depends only on the coset of each column, not on its
-    representative.
+    representative, and is zero exactly for the columns in the lattice.
     """
     if lattice_gens.cols == 0 or m.cols == 0:
         return m
@@ -490,8 +487,8 @@ def reduce_columns_mod_lattice(m: IntMatrix, lattice_gens: IntMatrix) -> IntMatr
         return m
     cols = []
     for v in zip(*m.entries):
-        for pr, piv, h in pivots:
-            q = v[pr] // piv
+        for pr, h in pivots:
+            q = v[pr] // h[pr]
             if q:
                 v = [x - q * y for x, y in zip(v, h)]
         cols.append(v)
@@ -501,9 +498,12 @@ def reduce_columns_mod_lattice(m: IntMatrix, lattice_gens: IntMatrix) -> IntMatr
 class _Solver:
     """Cached Hermite-backed solver for A x = b over the integers.
 
-    Hermite elimination (rather than full Smith reduction) is used here
-    because it keeps coefficients reduced modulo the pivots.  One solver
-    serves every column (or row) of a decoupled matrix equation, see
+    The one user of the Hermite transform a @ V = [H | 0] besides
+    ``unimodular_inverse``: a solution is V y with y read off H, and
+    ``sample_solution`` draws from the kernel, the trailing columns of V.
+    Hermite elimination (rather than full Smith reduction) keeps
+    coefficients reduced modulo the pivots.  One solver serves every
+    column (or row) of a decoupled matrix equation, see
     ``solve_columns_mod_lattice`` and ``solve_rows_mod_lattice``, and the
     Kronecker-assembled coupled systems of ``MatrixEquationSystem``.
     """
@@ -511,36 +511,27 @@ class _Solver:
     def __init__(self, a: IntMatrix):
         self.a = a
         self.h, self.v = column_hnf_transform(a)
-        self.pivots: list[tuple[int, int]] = []
-        for j in range(self.h.cols):
-            for i in range(a.rows):
-                if self.h.entries[i][j]:
-                    self.pivots.append((i, j))
-                    break
+        self.pivots = _pivots(self.h)
 
-    @property
+    @cached_property
     def kernel(self) -> IntMatrix:
         return self.v.take_columns(range(self.h.cols, self.a.cols))
 
     def solve(self, b: Sequence[int]) -> Optional[tuple[int, ...]]:
-        a = self.a
-        if len(b) != a.rows:
+        if len(b) != self.a.rows:
             raise DimensionMismatch("right-hand side length mismatch")
-        resid = list(b)
-        y = [0] * self.h.cols
-        for (r, j) in self.pivots:
-            piv = self.h.entries[r][j]
-            if resid[r] % piv:
+        resid = b
+        y = []
+        for r, col in self.pivots:
+            q, rem = divmod(resid[r], col[r])
+            if rem:
                 return None
-            q = resid[r] // piv
-            y[j] = q
+            y.append(q)
             if q:
-                for i in range(r, a.rows):
-                    resid[i] -= q * self.h.entries[i][j]
+                resid = [x - q * h for x, h in zip(resid, col)]
         if any(resid):
             return None
-        return tuple(sum(self.v.entries[i][k] * y[k] for k in range(self.h.cols))
-                     for i in range(a.cols))
+        return tuple(sum(map(operator.mul, row, y)) for row in self.v.entries)
 
     def sample_solution(self, b: Sequence[int], rng: random.Random,
                         amplitude: int = 2) -> Optional[tuple[int, ...]]:
@@ -606,8 +597,7 @@ def lattice_contains(outer: IntMatrix, inner: IntMatrix) -> bool:
     """True iff every column of ``inner`` lies in the column lattice of ``outer``."""
     if outer.rows != inner.rows:
         raise DimensionMismatch("lattice comparison in different ambients")
-    s = _solver(outer)
-    return all(s.solve(inner.column_at(j)) is not None for j in range(inner.cols))
+    return reduce_columns_mod_lattice(inner, outer).is_zero()
 
 
 def lattice_equal(a: IntMatrix, b: IntMatrix) -> bool:
@@ -676,13 +666,10 @@ def solve_columns_mod_lattice(a: IntMatrix, b: IntMatrix, lattice_gens: IntMatri
         sol = solver.sample_solution(rhs, rng) if rng is not None else solver.solve(rhs)
         if sol is None:
             return None
-        if basis is None:
-            cols.append(sol[:n])
-        else:
-            y = sol[:basis.cols]
-            cols.append(tuple(sum(basis.entries[i][k] * y[k] for k in range(basis.cols))
-                              for i in range(n)))
-    x = IntMatrix(n, b.cols, tuple(tuple(c[i] for c in cols) for i in range(n)))
+        y = sol[:n if basis is None else basis.cols]
+        cols.append(y if basis is None else
+                    tuple(sum(map(operator.mul, row, y)) for row in basis.entries))
+    x = _from_columns(n, cols)
     return x if u is None else x @ u
 
 
@@ -733,13 +720,23 @@ def solve_rows_mod_lattice(r: IntMatrix, c: IntMatrix, lattice_gens: IntMatrix,
     return x if u is None else unimodular_inverse(u) @ x
 
 
+@lru_cache(maxsize=None)
 def preimage_basis(m: IntMatrix, lattice_gens: IntMatrix) -> IntMatrix:
-    """Canonical basis of the lattice {x : m @ x in col(lattice_gens)}."""
+    """Canonical basis of the lattice {x : m @ x in col(lattice_gens)}.
+
+    One H-only Hermite pass over [[m | G], [I | 0]] (G = lattice_gens),
+    whose columns span {(m x + G y, x)}: its basis columns that vanish on
+    the top rows span the part with m x + G y = 0, and their bottom rows
+    are already the canonical basis of the preimage.
+    """
     if m.rows != lattice_gens.rows:
         raise DimensionMismatch("preimage lattice ambient mismatch")
-    k = kernel_basis(IntMatrix.hstack(m, lattice_gens))
-    top = k.take_rows(range(m.cols))
-    return column_hnf(top)
+    r, n = m.rows, m.cols
+    cols = [list(m.column_at(j)) + [1 if i == j else 0 for i in range(n)] for j in range(n)]
+    cols += [list(lattice_gens.column_at(j)) + [0] * n for j in range(lattice_gens.cols)]
+    fixed = _hermite(cols, r + n)
+    top = sum(1 for col in cols[:fixed] if any(col[:r]))
+    return _from_columns(n, cols[top:fixed], r)
 
 
 # -- primality -------------------------------------------------------
@@ -830,37 +827,27 @@ class MatrixEquationSystem:
             r, c = self._blocks[name]
             layout.append((name, offset, r, c))
             offset += r * c
-        n_unknowns = offset
-        slack_cols: list[IntMatrix] = []
-        rows_blocks: list[list[IntMatrix]] = []
+        # each equation's congruence slack gets its own block of columns
+        slacks = [IntMatrix.kron(IntMatrix.identity(rhs.cols), mod) if mod is not None
+                  else IntMatrix.zeros(rhs.rows * rhs.cols, 0) for _, rhs, mod in self._equations]
+        width = sum(sc.cols for sc in slacks)
+        big_rows: list[IntMatrix] = []
         rhs_all: list[int] = []
-        for terms, rhs, mod in self._equations:
+        before = 0
+        for (terms, rhs, _mod), sc in zip(self._equations, slacks):
             nrows = rhs.rows * rhs.cols
             acc: dict[str, IntMatrix] = {}
             for name, left, right in terms:
                 k = IntMatrix.kron(right.transpose(), left)
                 acc[name] = acc[name] + k if name in acc else k
-            row_parts = []
-            for name, _off, r, c in layout:
-                row_parts.append(acc.get(name, IntMatrix.zeros(nrows, r * c)))
-            rows_blocks.append(row_parts)
-            if mod is not None and mod.cols:
-                slack_cols.append(IntMatrix.kron(IntMatrix.identity(rhs.cols), mod))
-            else:
-                slack_cols.append(IntMatrix.zeros(nrows, 0))
+            big_rows.append(IntMatrix.hstack(
+                *(acc.get(name, IntMatrix.zeros(nrows, r * c)) for name, _off, r, c in layout),
+                IntMatrix.zeros(nrows, before), sc,
+                IntMatrix.zeros(nrows, width - before - sc.cols)))
+            before += sc.cols
             for j in range(rhs.cols):
                 rhs_all.extend(rhs.entries[i][j] for i in range(rhs.rows))
-        big_rows = []
-        for i, parts in enumerate(rows_blocks):
-            slacks = []
-            for k, sc in enumerate(slack_cols):
-                if k == i:
-                    slacks.append(sc)
-                else:
-                    slacks.append(IntMatrix.zeros(parts[0].rows if parts else sc.rows, sc.cols))
-            big_rows.append(IntMatrix.hstack(*(parts + slacks)) if (parts or slacks)
-                            else IntMatrix.zeros(0, n_unknowns))
-        big = IntMatrix.vstack(*big_rows) if big_rows else IntMatrix.zeros(0, n_unknowns)
+        big = IntMatrix.vstack(*big_rows) if big_rows else IntMatrix.zeros(0, offset)
         return big, tuple(rhs_all), layout
 
     def solve(self, rng: Optional[random.Random] = None,
@@ -872,6 +859,5 @@ class MatrixEquationSystem:
             return None
         out: dict[str, IntMatrix] = {}
         for name, off, r, c in layout:
-            cols = [sol[off + j * r:off + (j + 1) * r] for j in range(c)]
-            out[name] = IntMatrix(r, c, tuple(tuple(cols[j][i] for j in range(c)) for i in range(r)))
+            out[name] = _from_columns(r, [sol[off + j * r:off + (j + 1) * r] for j in range(c)])
         return out

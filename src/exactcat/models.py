@@ -25,9 +25,11 @@ projective covers and random generators that its structure changes;
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from typing import Optional
 
 from .intlinalg import (
@@ -248,12 +250,24 @@ class PresentedModel(ExactStructureModel):
 
     @lru_cache(maxsize=4096)
     def _hom_basis(self, a: PresentedObject, b: PresentedObject) -> IntMatrix:
-        """Columns are vectorized generators of Hom(a, b) inside matrix space."""
+        """Columns are vectorized generators of Hom(a, b) inside matrix space:
+        the canonical basis of {vec X : X R_a in col(R_b)}, X_ij at j * nb + i."""
+        # With the cached Smith forms U R V = D, col(R) = U^-1 col(D), so X
+        # respects relations iff Y = U_b X U_a^-1 has Y_ij da_j in db_i Z (da, db
+        # padded with zeros): Y_ij is free if da_j = 0, zero if only db_i = 0,
+        # else any multiple of db_i / gcd(db_i, da_j).  vec X = kron(U_a^T,
+        # U_b^-1) vec Y is a bijection, so the scaled kron columns span Hom.
         na, nb = a.ngens, b.ngens
-        ra = a.relations.cols
-        lhs = IntMatrix.kron(a.relations.transpose(), IntMatrix.identity(nb))
-        lat = IntMatrix.kron(IntMatrix.identity(ra), b.relations)
-        return preimage_basis(lhs, lat) if ra else IntMatrix.identity(na * nb)
+        if not a.relations.cols:
+            return IntMatrix.identity(na * nb)
+        sa, sb = smith_normal_form(a.relations), smith_normal_form(b.relations)
+        da = sa.diagonal + (0,) * (na - len(sa.diagonal))
+        db = sb.diagonal + (0,) * (nb - len(sb.diagonal))
+        scale = [1 if dj == 0 else 0 if di == 0 else di // gcd(di, dj) for dj in da for di in db]
+        k = IntMatrix.kron(sa.U.transpose(), unimodular_inverse(sb.U))
+        # column_hnf drops the columns that a zero scale clears
+        return column_hnf(IntMatrix(k.rows, k.cols, tuple(
+            tuple(map(operator.mul, row, scale)) for row in k.entries)))
 
     def random_morphism(self, rng: random.Random, a: ObjectHandle,
                         b: ObjectHandle) -> MorphismHandle:

@@ -8,7 +8,9 @@ from exactcat.intlinalg import (
     MatrixEquationSystem,
     PRIMALITY_BOUND,
     _check_prime,
+    _solver,
     column_hnf,
+    column_hnf_transform,
     kernel_basis,
     lattice_contains,
     lattice_equal,
@@ -493,3 +495,217 @@ def test_check_prime_miller_rabin():
         _check_prime(PRIMALITY_BOUND)
     with pytest.raises(ValueError, match=str(PRIMALITY_BOUND)):
         _check_prime(2 ** 127 - 1)
+
+
+# -- Hermite entry points against the pre-change bodies ---------------------
+
+
+def _reference_hnf_transform(a):
+    # column_hnf_transform as it was before H-only elimination: one loop
+    # that always carries V
+    n, c = a.rows, a.cols
+    cols = [list(a.column_at(j)) for j in range(c)]
+    vcols = [[1 if i == j else 0 for i in range(c)] for j in range(c)]
+    fixed = 0
+    for r in range(n):
+        while True:
+            live = [j for j in range(fixed, c) if cols[j][r]]
+            if len(live) <= 1:
+                break
+            live.sort(key=lambda j: (abs(cols[j][r]), j))
+            j0 = live[0]
+            for j in live[1:]:
+                q = cols[j][r] // cols[j0][r]
+                if q:
+                    cols[j] = [x - q * y for x, y in zip(cols[j], cols[j0])]
+                    vcols[j] = [x - q * y for x, y in zip(vcols[j], vcols[j0])]
+        live = [j for j in range(fixed, c) if cols[j][r]]
+        if not live:
+            continue
+        j0 = live[0]
+        cols[fixed], cols[j0] = cols[j0], cols[fixed]
+        vcols[fixed], vcols[j0] = vcols[j0], vcols[fixed]
+        if cols[fixed][r] < 0:
+            cols[fixed] = [-x for x in cols[fixed]]
+            vcols[fixed] = [-x for x in vcols[fixed]]
+        piv = cols[fixed][r]
+        for j in range(fixed):
+            q = cols[j][r] // piv
+            if q:
+                cols[j] = [x - q * y for x, y in zip(cols[j], cols[fixed])]
+                vcols[j] = [x - q * y for x, y in zip(vcols[j], vcols[fixed])]
+        fixed += 1
+    h = IntMatrix(n, fixed, tuple(tuple(cols[j][i] for j in range(fixed)) for i in range(n)))
+    v = IntMatrix(c, c, tuple(tuple(vcols[j][i] for j in range(c)) for i in range(c)))
+    return h, v
+
+
+def _reference_preimage(m, lattice_gens):
+    # preimage_basis as it was: a kernel basis from V, then a second pass
+    aug = IntMatrix.hstack(m, lattice_gens)
+    h, v = _reference_hnf_transform(aug)
+    top = v.take_columns(range(h.cols, aug.cols)).take_rows(range(m.cols))
+    return _reference_hnf_transform(top)[0]
+
+
+def _rand(rng, rows, cols, bound=9):
+    return IntMatrix.from_rows(
+        [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+def _random_case(rng, trial, rows=None, max_dim=5):
+    """A random matrix; every third one is rank-deficient, and 0-row and
+    0-column shapes come up on their own."""
+    r = rng.randint(0, max_dim) if rows is None else rows
+    c = rng.randint(0, max_dim)
+    if trial % 3 == 0:
+        inner = rng.randint(0, max(0, min(r, c) - 1))
+        return _rand(rng, r, inner, 4) @ _rand(rng, inner, c, 4)
+    return _rand(rng, r, c)
+
+
+def _shape_coverage(mats):
+    kinds = set()
+    for a in mats:
+        rank = smith_normal_form(a).rank
+        kinds.add("0-row" if a.rows == 0 else "0-col" if a.cols == 0 else
+                  "deficient" if rank < min(a.rows, a.cols) else "full")
+    return kinds
+
+
+def test_column_hnf_matches_reference_transform():
+    rng = random.Random(7001)
+    seen = []
+    for trial in range(300):
+        a = _random_case(rng, trial)
+        seen.append(a)
+        h, v = _reference_hnf_transform(a)
+        assert column_hnf(a) == h
+        assert column_hnf_transform(a) == (h, v)
+    assert _shape_coverage(seen) == {"0-row", "0-col", "deficient", "full"}
+
+
+def test_preimage_basis_matches_kernel_reference():
+    rng = random.Random(7002)
+    seen = []
+    for trial in range(300):
+        m = _random_case(rng, trial)
+        # an empty lattice every fourth case, else a random (often singular) one
+        g = _random_case(rng, trial + 1, rows=m.rows) if trial % 4 else IntMatrix.zeros(m.rows, 0)
+        seen.append(m)
+        pb = preimage_basis(m, g)
+        assert pb == _reference_preimage(m, g)
+        assert pb.rows == m.cols
+        assert lattice_contains(g, m @ pb)
+    assert _shape_coverage(seen) == {"0-row", "0-col", "deficient", "full"}
+
+
+def test_lattice_contains_matches_solver():
+    rng = random.Random(7003)
+    outcomes = set()
+    for trial in range(300):
+        outer = _random_case(rng, trial)
+        k = rng.randint(0, 3)
+        inner = outer @ _rand(rng, outer.cols, k, 3)
+        if trial % 2:
+            inner = inner + _rand(rng, outer.rows, k, 1)
+        s = _solver(outer)
+        expected = all(s.solve(inner.column_at(j)) is not None for j in range(inner.cols))
+        assert lattice_contains(outer, inner) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+    with pytest.raises(ValueError):
+        lattice_contains(IntMatrix.zeros(2, 1), IntMatrix.zeros(3, 1))
+
+
+def _random_unimodular(rng, n):
+    rows = IntMatrix.identity(n).to_lists()
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            k = rng.randint(-3, 3)
+            rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+        elif rng.random() < 0.3:
+            rows[i] = [-x for x in rows[i]]
+    rng.shuffle(rows)
+    return IntMatrix.from_rows(rows, cols=n)
+
+
+def test_unimodular_inverse_matches_smith():
+    rng = random.Random(7004)
+    outcomes = set()
+    for trial in range(300):
+        n = rng.randint(0, 5)
+        m = _random_unimodular(rng, n) if trial % 2 else _rand(rng, n, n, 3)
+        snf = smith_normal_form(m)
+        unimodular = snf.D == IntMatrix.identity(n)
+        outcomes.add(unimodular)
+        if unimodular:
+            inv = unimodular_inverse(m)
+            assert m @ inv == IntMatrix.identity(n)
+            assert inv == snf.V @ snf.U
+        else:
+            with pytest.raises(ValueError):
+                unimodular_inverse(m)
+    assert outcomes == {True, False}
+
+
+# -- independent oracles --------------------------------------------------
+
+
+def test_smith_invariant_factors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    rng = random.Random(7005)
+    for trial in range(200):
+        a = _random_case(rng, trial)
+        theirs = invariant_factors(_to_sympy(sympy, a), domain=sympy.ZZ)
+        assert smith_normal_form(a).diagonal == tuple(int(d) for d in theirs)
+
+
+def _to_sympy(sympy, a):
+    return sympy.Matrix(a.rows, a.cols, [x for row in a.entries for x in row])
+
+
+def _sympy_volume(sympy, a):
+    """Rank and product of the nonzero invariant factors, both from sympy."""
+    from sympy.matrices.normalforms import invariant_factors
+    mat = _to_sympy(sympy, a)
+    prod = 1
+    for d in invariant_factors(mat, domain=sympy.ZZ):
+        prod *= int(d) or 1
+    return mat.rank(), prod
+
+
+def test_column_hnf_against_independent_checks():
+    """H is canonical, col(a) lies in col(H), and a and H have the same
+    rank and the same product of invariant factors, so the index of
+    col(a) in col(H) is 1 and the lattices are equal."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(7006)
+    for trial in range(200):
+        a = _random_case(rng, trial)
+        h = column_hnf(a)
+        assert h.rows == a.rows
+        pivots = []
+        for j in range(h.cols):
+            col = h.column_at(j)
+            assert any(col), "zero column in a canonical basis"
+            pr = next(i for i, x in enumerate(col) if x)
+            assert col[pr] > 0
+            assert not pivots or pr > pivots[-1][0]
+            for k in range(j):
+                assert 0 <= h.entries[pr][k] < col[pr]
+            pivots.append((pr, j))
+        # triangular back-substitution: each column of a in col(H)
+        for j in range(a.cols):
+            v = list(a.column_at(j))
+            for pr, k in pivots:
+                piv = h.entries[pr][k]
+                assert v[pr] % piv == 0
+                q = v[pr] // piv
+                v = [x - q * y for x, y in zip(v, h.column_at(k))]
+            assert not any(v)
+        rank, vol = _sympy_volume(sympy, a)
+        assert h.cols == rank
+        assert _sympy_volume(sympy, h) == (rank, vol)

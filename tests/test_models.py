@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from exactcat.intlinalg import IntMatrix, column_hnf
+from exactcat.intlinalg import IntMatrix, column_hnf, preimage_basis
 from exactcat.completion import CompletedModel, complete
 from exactcat.kernel import GenBounds, MorphismSystem, PreconditionError
 from exactcat.models import (
+    PresentedObject,
     cyclic,
     even_rank_split,
     fgab,
@@ -429,3 +430,36 @@ def test_split_analysis_matches_regular_splitting(model):
         assert model.is_admissible_monic(k) and model.is_admissible_monic(m)
         assert model.is_admissible_epic(e) and model.is_admissible_epic(c)
     assert seen[True] >= 25 and seen[False] >= 5, seen
+
+
+def _reference_hom_basis(a, b):
+    # PresentedModel._hom_basis as it was: vec X with X R_a in col(R_b) as a
+    # Kronecker preimage system
+    na, nb = a.ngens, b.ngens
+    ra = a.relations.cols
+    lhs = IntMatrix.kron(a.relations.transpose(), IntMatrix.identity(nb))
+    lat = IntMatrix.kron(IntMatrix.identity(ra), b.relations)
+    return preimage_basis(lhs, lat) if ra else IntMatrix.identity(na * nb)
+
+
+@pytest.mark.parametrize("model", [fgab(), vect_model(3)], ids=["fgab", "vect:3"])
+def test_hom_basis_matches_kronecker_system(model):
+    rng = random.Random(47)
+    bounds = GenBounds(max_gens=4, max_rel_entry=12, max_entry=9)
+    special = [PresentedObject(0, IntMatrix.zeros(0, 0)),     # zero generators
+               PresentedObject(0, IntMatrix.zeros(0, 2)),
+               PresentedObject(3, IntMatrix.zeros(3, 0)),     # relation-free
+               PresentedObject(2, IntMatrix.zeros(2, 2)),     # zero relations
+               PresentedObject(2, IntMatrix.from_rows([[2, 4], [6, 12]]))]
+    for trial in range(200):
+        a, b = (special[rng.randrange(len(special))] if rng.random() < 0.3
+                else model.random_object(rng, bounds).payload for _ in range(2))
+        basis = model._hom_basis(a, b)
+        assert basis == _reference_hom_basis(a, b), (a, b)
+        # every basis column is a well-defined map a -> b
+        for j in range(basis.cols if a.ngens and b.ngens else 0):
+            x = IntMatrix(b.ngens, a.ngens, tuple(
+                tuple(basis.entries[jj * b.ngens + i][j] for jj in range(a.ngens))
+                for i in range(b.ngens)))
+            ab = fgab()
+            ab.morphism(ab.object(a.ngens, a.relations), ab.object(b.ngens, b.relations), x)
