@@ -107,9 +107,6 @@ class CompletedModel(ExactStructureModel):
         z = self.base.zero_object()
         return self.pair(z, IntMatrix.zeros(0, 0))
 
-    def identity(self, a: ObjectHandle) -> MorphismHandle:
-        return self.morphism(a, a, a.payload.idem, check=False)
-
     def iso_invariants(self, a: ObjectHandle) -> IsoInvariants:
         return self.target.iso_invariants(self._split(a).target)
 
@@ -144,17 +141,13 @@ class CompletedModel(ExactStructureModel):
     def embed_target(self, t: ObjectHandle) -> tuple[ObjectHandle, SplitData]:
         """Represent a target-model object as a completion object."""
         if self.base.idempotent_complete:
-            host = self.pair(t, IntMatrix.identity(self.base._gens(t.payload)))
-            n = self.base._gens(t.payload)
-            data = SplitData(t, IntMatrix.identity(n), IntMatrix.identity(n))
+            one = IntMatrix.identity(self.base._gens(t.payload))
+            host, data = self.pair(t, one), SplitData(t, one, one)
         else:
-            r = t.payload.ngens
-            host_base = self.base.object(2 * r)
-            idem = IntMatrix.diagonal([1] * r, rows=2 * r, cols=2 * r)
-            host = self.pair(host_base, idem)
-            mono = IntMatrix.vstack(IntMatrix.identity(r), IntMatrix.zeros(r, r))
-            ret = IntMatrix.hstack(IntMatrix.identity(r), IntMatrix.zeros(r, r))
-            data = SplitData(t, mono, ret)
+            # t is the first summand of t + t, an even-rank base object
+            bp = self.target.biproduct(t, t)
+            host = self.pair(self.base.object(2 * t.payload.ngens), (bp.inj1 @ bp.proj1).matrix)
+            data = SplitData(t, bp.inj1.matrix, bp.proj1.matrix)
         self._splits[host.payload] = data
         return host, data
 
@@ -181,7 +174,7 @@ class CompletedModel(ExactStructureModel):
         cobj, _ = self.embed_target(c.cod)
         return self.from_target(c, f.cod, cobj)
 
-    def analyze(self, f: MorphismHandle) -> Optional[Analysis]:
+    def _analyze(self, f: MorphismHandle) -> Optional[Analysis]:
         an = self.target.analyze(self.to_target(f))
         if an is None:
             return None

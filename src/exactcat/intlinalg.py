@@ -71,18 +71,18 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return _trusted(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, ((0,) * cols,) * rows)
+        return _trusted(rows, cols, ((0,) * cols,) * rows)
 
     @staticmethod
     def diagonal(values: Sequence[int], rows: Optional[int] = None, cols: Optional[int] = None) -> "IntMatrix":
         values = list(values)
         r = rows if rows is not None else len(values)
         c = cols if cols is not None else len(values)
-        return IntMatrix(r, c, tuple(
+        return _trusted(r, c, tuple(
             tuple(values[i] if i == j and i < len(values) else 0 for j in range(c))
             for i in range(r)))
 
@@ -95,7 +95,7 @@ class IntMatrix:
             raise DimensionMismatch("hstack with differing row counts")
         data = tuple(tuple(chain.from_iterable(parts))
                      for parts in zip(*(m.entries for m in mats)))
-        return IntMatrix(rows, sum(m.cols for m in mats), data)
+        return _trusted(rows, sum(m.cols for m in mats), data)
 
     @staticmethod
     def vstack(*mats: "IntMatrix") -> "IntMatrix":
@@ -105,7 +105,7 @@ class IntMatrix:
         if any(m.cols != cols for m in mats):
             raise DimensionMismatch("vstack with differing column counts")
         data = tuple(row for m in mats for row in m.entries)
-        return IntMatrix(sum(m.rows for m in mats), cols, data)
+        return _trusted(sum(m.rows for m in mats), cols, data)
 
     @staticmethod
     def block_diag(*mats: "IntMatrix") -> "IntMatrix":
@@ -115,7 +115,7 @@ class IntMatrix:
         for m in mats:
             data.extend((0,) * c0 + row + (0,) * (cols - c0 - m.cols) for row in m.entries)
             c0 += m.cols
-        return IntMatrix(len(data), cols, tuple(data))
+        return _trusted(len(data), cols, tuple(data))
 
     @staticmethod
     def kron(a: "IntMatrix", b: "IntMatrix") -> "IntMatrix":
@@ -127,7 +127,7 @@ class IntMatrix:
                     aij = a.entries[i][j]
                     row.extend(aij * x for x in b.entries[k])
                 data.append(tuple(row))
-        return IntMatrix(a.rows * b.rows, a.cols * b.cols, tuple(data))
+        return _trusted(a.rows * b.rows, a.cols * b.cols, tuple(data))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -140,15 +140,15 @@ class IntMatrix:
     def _zip_with(self, op, other: "IntMatrix", what: str) -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch(f"matrix {what} shape mismatch")
-        return IntMatrix(self.rows, self.cols, tuple(
+        return _trusted(self.rows, self.cols, tuple(
             tuple(map(op, ra, rb)) for ra, rb in zip(self.entries, other.entries)))
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(map(operator.neg, row)) for row in self.entries))
+        return _trusted(self.rows, self.cols,
+                        tuple(tuple(map(operator.neg, row)) for row in self.entries))
 
     def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(tuple(k * a for a in row) for row in self.entries))
+        return _trusted(self.rows, self.cols, tuple(tuple(k * a for a in row) for row in self.entries))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -160,12 +160,12 @@ class IntMatrix:
         mul = operator.mul
         cols = tuple(zip(*other.entries))
         data = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.entries)
-        return IntMatrix(self.rows, other.cols, data)
+        return _trusted(self.rows, other.cols, data)
 
     def transpose(self) -> "IntMatrix":
         if not self.rows:
             return IntMatrix.zeros(self.cols, 0)
-        return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)))
+        return _trusted(self.cols, self.rows, tuple(zip(*self.entries)))
 
     # -- accessors ----------------------------------------------------
 
@@ -174,12 +174,12 @@ class IntMatrix:
 
     def take_columns(self, idx: Iterable[int]) -> "IntMatrix":
         idx = list(idx)
-        return IntMatrix(self.rows, len(idx),
-                         tuple(tuple(row[j] for j in idx) for row in self.entries))
+        return _trusted(self.rows, len(idx),
+                        tuple(tuple(row[j] for j in idx) for row in self.entries))
 
     def take_rows(self, idx: Iterable[int]) -> "IntMatrix":
         idx = list(idx)
-        return IntMatrix(len(idx), self.cols, tuple(self.entries[i] for i in idx))
+        return _trusted(len(idx), self.cols, tuple(self.entries[i] for i in idx))
 
     def is_zero(self) -> bool:
         return all(all(a == 0 for a in row) for row in self.entries)
@@ -192,6 +192,17 @@ class IntMatrix:
             return f"IntMatrix({self.rows}x{self.cols})"
         body = "; ".join(" ".join(str(a) for a in row) for row in self.entries)
         return f"IntMatrix[{body}]"
+
+
+def _trusted(rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> IntMatrix:
+    """A grid built here, rectangular by construction: only its dimensions are checked."""
+    if rows < 0 or cols < 0:
+        raise DimensionMismatch("negative matrix dimension")
+    m = object.__new__(IntMatrix)
+    object.__setattr__(m, "rows", rows)   # as the frozen dataclass __init__ does
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "entries", entries)
+    return m
 
 
 @dataclass(frozen=True)
@@ -420,8 +431,8 @@ def _hermite(cols: list[list[int]], pivot_rows: int) -> int:
 
 def _from_columns(rows: int, cols: Sequence[Sequence[int]], start: int = 0) -> IntMatrix:
     """The matrix whose columns are ``cols``, each read from entry ``start`` on."""
-    return IntMatrix(rows, len(cols), tuple(tuple(col[start + i] for col in cols)
-                                            for i in range(rows)))
+    return _trusted(rows, len(cols), tuple(tuple(col[start + i] for col in cols)
+                                           for i in range(rows)))
 
 
 @lru_cache(maxsize=None)
@@ -492,7 +503,7 @@ def reduce_columns_mod_lattice(m: IntMatrix, lattice_gens: IntMatrix) -> IntMatr
             if q:
                 v = [x - q * y for x, y in zip(v, h)]
         cols.append(v)
-    return IntMatrix(m.rows, m.cols, tuple(zip(*cols)))
+    return _trusted(m.rows, m.cols, tuple(zip(*cols)))
 
 
 class _Solver:
@@ -584,13 +595,10 @@ class Lattice:
 
 def lattice_membership(v: Sequence[int] | IntMatrix, lattice: Lattice) -> bool:
     """True iff v is an integer combination of the lattice generators."""
-    if isinstance(v, IntMatrix):
-        if v.cols != 1:
-            raise DimensionMismatch("membership expects a column vector")
-        v = v.column_at(0)
-    if len(v) != lattice.ambient_rank:
-        raise DimensionMismatch("vector does not live in the lattice ambient")
-    return solve_integer(lattice.generators, v) is not None
+    col = v if isinstance(v, IntMatrix) else _from_columns(len(v), [v])
+    if col.cols != 1 or col.rows != lattice.ambient_rank:
+        raise DimensionMismatch("membership expects one column in the lattice ambient")
+    return lattice_contains(lattice.generators, col)
 
 
 def lattice_contains(outer: IntMatrix, inner: IntMatrix) -> bool:
@@ -716,7 +724,7 @@ def solve_rows_mod_lattice(r: IntMatrix, c: IntMatrix, lattice_gens: IntMatrix,
         if sol is None:
             return None
         rows.append(sol[:r.rows])
-    x = IntMatrix(c.rows, r.rows, tuple(rows))
+    x = _trusted(c.rows, r.rows, tuple(rows))
     return x if u is None else unimodular_inverse(u) @ x
 
 

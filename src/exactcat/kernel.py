@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .intlinalg import (
@@ -21,6 +22,10 @@ from .intlinalg import (
     solve_columns_mod_lattice,
     solve_rows_mod_lattice,
 )
+
+
+# Bound of each model-keyed memo: object handles, identities, biproducts, analyses.
+CACHE_SIZE = 512
 
 
 class ExactCatError(Exception):
@@ -81,7 +86,7 @@ class MorphismHandle:
     Invariant: ``matrix`` is always the canonical representative modulo the
     codomain relations (``reduce_columns_mod_lattice``), and on a completion
     it is already sandwiched between the idempotents of its endpoints.  The
-    model's ``compose``, ``add``, ``subtract`` and ``negate`` rely on it.
+    model's arithmetic and its ``analyze`` memo rely on it.
     """
 
     dom: ObjectHandle
@@ -297,6 +302,14 @@ class ExactStructureModel:
     # -- morphism layer ------------------------------------------------
 
     def _obj(self, payload: object) -> ObjectHandle:
+        try:
+            return self._valid_obj(payload)
+        except TypeError:   # unhashable, or raised again by validate_object
+            self.validate_object(payload)
+            raise PreconditionError(f"{self.model_id} payloads must be hashable") from None
+
+    @lru_cache(maxsize=CACHE_SIZE)
+    def _valid_obj(self, payload: object) -> ObjectHandle:
         self.validate_object(payload)
         return ObjectHandle(self, payload)
 
@@ -312,8 +325,10 @@ class ExactStructureModel:
             self._validate_morphism_matrix(dom, cod, matrix)
         return MorphismHandle(dom, cod, matrix)
 
+    @lru_cache(maxsize=CACHE_SIZE)
     def identity(self, a: ObjectHandle) -> MorphismHandle:
-        raise NotImplementedError
+        # on a completion the sandwich p 1 p = p p reduces as p does
+        return self.morphism(a, a, IntMatrix.identity(self._gens(a.payload)), check=False)
 
     def zero_morphism(self, dom: ObjectHandle, cod: ObjectHandle) -> MorphismHandle:
         return self.morphism(dom, cod,
@@ -397,20 +412,24 @@ class ExactStructureModel:
     def biproduct_payload(self, a: object, b: object) -> object:
         raise NotImplementedError
 
+    @lru_cache(maxsize=CACHE_SIZE)
     def biproduct(self, a: ObjectHandle, b: ObjectHandle) -> BiproductData:
+        # The structure maps are blocks of 1_a, 1_b and zeros, already
+        # canonical: the relations of a + b are block diagonal, so is their
+        # Hermite basis, so [x; 0] reduces to [reduce(x); 0] and a row block
+        # reduces columnwise.  On a completion the sandwich of [1; 0] is
+        # [p_a p_a; 0], congruent to [p_a; 0], and 1_a is the reduced p_a.
         self._require_same_model(a, b)
         ab = self._obj(self.biproduct_payload(a.payload, b.payload))
-        na, nb = self._gens(a.payload), self._gens(b.payload)
-        i1 = IntMatrix.vstack(IntMatrix.identity(na), IntMatrix.zeros(nb, na))
-        i2 = IntMatrix.vstack(IntMatrix.zeros(na, nb), IntMatrix.identity(nb))
-        p1 = IntMatrix.hstack(IntMatrix.identity(na), IntMatrix.zeros(na, nb))
-        p2 = IntMatrix.hstack(IntMatrix.zeros(nb, na), IntMatrix.identity(nb))
+        one_a, one_b = self.identity(a).matrix, self.identity(b).matrix
+        z_ab = IntMatrix.zeros(one_a.rows, one_b.cols)
+        z_ba = IntMatrix.zeros(one_b.rows, one_a.cols)
         return BiproductData(
             ab,
-            self.morphism(a, ab, i1, check=False),
-            self.morphism(b, ab, i2, check=False),
-            self.morphism(ab, a, p1, check=False),
-            self.morphism(ab, b, p2, check=False),
+            MorphismHandle(a, ab, IntMatrix.vstack(one_a, z_ba)),
+            MorphismHandle(b, ab, IntMatrix.vstack(z_ab, one_b)),
+            MorphismHandle(ab, a, IntMatrix.hstack(one_a, z_ab)),
+            MorphismHandle(ab, b, IntMatrix.hstack(z_ba, one_b)),
         )
 
     def kernel(self, f: MorphismHandle) -> Optional[MorphismHandle]:
@@ -420,6 +439,15 @@ class ExactStructureModel:
         raise NotImplementedError
 
     def analyze(self, f: MorphismHandle) -> Optional[Analysis]:
+        # memoised: dom, cod and the canonical matrix determine the arrow
+        return self._analysis(f.dom, f.cod, f.matrix)
+
+    @lru_cache(maxsize=CACHE_SIZE)
+    def _analysis(self, dom: ObjectHandle, cod: ObjectHandle,
+                  matrix: IntMatrix) -> Optional[Analysis]:
+        return self._analyze(MorphismHandle(dom, cod, matrix))
+
+    def _analyze(self, f: MorphismHandle) -> Optional[Analysis]:
         raise NotImplementedError
 
     def is_admissible_monic(self, f: MorphismHandle) -> bool:
@@ -467,18 +495,17 @@ class ExactStructureModel:
                            bp: "BiproductData") -> tuple[MorphismHandle, MorphismHandle]:
         """Automorphism of a biproduct with a closed-form inverse.
 
-        T = (1 f; 0 1)(1 0; g 1) for random f, g, so no solving is needed
-        to invert it.
+        T = (1 f; 0 1)(1 0; g 1) = (1+fg f; g 1) for random f, g, and
+        T^-1 = (1 -f; -g 1+gf); each block matrix is reduced once, which
+        stores what composing the factors would (see ``_reduced``).
         """
         a, c = bp.inj1.dom, bp.inj2.dom
-        f = self.random_morphism(rng, c, a)
-        g = self.random_morphism(rng, a, c)
-        one = self.identity(bp.ob)
-        upper = one + (bp.inj1 @ f @ bp.proj2)
-        lower = one + (bp.inj2 @ g @ bp.proj1)
-        upper_inv = one - (bp.inj1 @ f @ bp.proj2)
-        lower_inv = one - (bp.inj2 @ g @ bp.proj1)
-        return upper @ lower, lower_inv @ upper_inv
+        f = self.random_morphism(rng, c, a).matrix
+        g = self.random_morphism(rng, a, c).matrix
+        one_a, one_c = self.identity(a).matrix, self.identity(c).matrix
+        t = IntMatrix.vstack(IntMatrix.hstack(one_a + f @ g, f), IntMatrix.hstack(g, one_c))
+        tinv = IntMatrix.vstack(IntMatrix.hstack(one_a, -f), IntMatrix.hstack(-g, one_c + g @ f))
+        return self._reduced(bp.ob, bp.ob, t), self._reduced(bp.ob, bp.ob, tinv)
 
     def random_split_pair(self, rng: random.Random,
                           bounds: GenBounds) -> tuple[ObjectHandle, MorphismHandle]:

@@ -181,9 +181,9 @@ def _shrink(instance: dict, predicate: Callable[[dict], bool],
                     return current
                 try:
                     failing = predicate(cand) is False
-                except Exception:
-                    # a mutated candidate may break the law's shape
-                    # assumptions entirely; that is just an invalid shrink
+                except (ExactCatError, ValueError, IndexError):
+                    # an ill-shaped candidate (DimensionMismatch is a
+                    # ValueError) is an invalid shrink; other errors are bugs
                     continue
                 if failing:
                     current = cand

@@ -134,9 +134,6 @@ class PresentedModel(ExactStructureModel):
     def iso_invariants(self, a: ObjectHandle) -> IsoInvariants:
         return _invariants_of(a.payload)
 
-    def identity(self, a: ObjectHandle) -> MorphismHandle:
-        return self.morphism(a, a, IntMatrix.identity(a.payload.ngens), check=False)
-
     def biproduct_payload(self, a: PresentedObject, b: PresentedObject) -> PresentedObject:
         return PresentedObject(a.ngens + b.ngens,
                                IntMatrix.block_diag(a.relations, b.relations))
@@ -196,7 +193,7 @@ class PresentedModel(ExactStructureModel):
         except PreconditionError:
             return None
 
-    def analyze(self, f: MorphismHandle) -> Optional[Analysis]:
+    def _analyze(self, f: MorphismHandle) -> Optional[Analysis]:
         k = self.kernel(f)
         c = self.cokernel(f)
         if k is None or c is None:
@@ -423,14 +420,14 @@ class SplitModel(PresentedModel):
     """The split exact structure: admissibility is decided by one-sided
     inverses, and an arrow is analysed through its ambient factorisation."""
 
-    def analyze(self, f: MorphismHandle) -> Optional[Analysis]:
+    def _analyze(self, f: MorphismHandle) -> Optional[Analysis]:
         # f is admissible iff it factors as a split epic followed by a split
         # monic, i.e. iff its ambient kernel k and image monic m are split.
         # If k has a left inverse r, then 1 - k r kills k, so 1 - k r = t e
         # for the coimage epic e, and e t e = e gives e t = 1.  If m is
         # split, its cokernel is split.  Conversely an admissible f has a
         # summand kernel and a summand image.
-        an = super().analyze(f)
+        an = super()._analyze(f)
         if an is None or not self.is_admissible_monic(an.kernel_arrow) \
                 or not self.is_admissible_monic(an.image_monic):
             return None
@@ -489,10 +486,10 @@ class FreeExactModel(PresentedModel):
         # quotients of free groups stay free: divide by the saturation
         return super().quotient_by(a, saturation(cols))
 
-    def analyze(self, f: MorphismHandle) -> Optional[Analysis]:
+    def _analyze(self, f: MorphismHandle) -> Optional[Analysis]:
         if saturation(f.matrix) != column_hnf(f.matrix):
             return None
-        return super().analyze(f)
+        return super()._analyze(f)
 
     def is_admissible_monic(self, f: MorphismHandle) -> bool:
         return self._is_injective(f) and \

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from exactcat.documents import ParseError, matrix_from_json
 from exactcat.intlinalg import (
+    DimensionMismatch,
     IntMatrix,
     Lattice,
     MatrixEquationSystem,
@@ -709,3 +711,48 @@ def test_column_hnf_against_independent_checks():
         rank, vol = _sympy_volume(sympy, a)
         assert h.cols == rank
         assert _sympy_volume(sympy, h) == (rank, vol)
+
+
+def test_lattice_membership_matches_solve_integer():
+    # membership is a reduction modulo the cached Hermite basis; the solver
+    # is the independent reference
+    rng = random.Random(7005)
+    seen, outcomes = [], set()
+    for trial in range(300):
+        gens = _random_case(rng, trial)
+        seen.append(gens)
+        v = gens @ _rand(rng, gens.cols, 1, 3)
+        if trial % 2:
+            v = v + _rand(rng, gens.rows, 1, 1)
+        expected = solve_integer(gens, v) is not None
+        lattice = Lattice.spanned_by(gens)
+        assert lattice_membership(v, lattice) == expected
+        assert lattice_membership(list(v.column_at(0)), lattice) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+    assert _shape_coverage(seen) == {"0-row", "0-col", "deficient", "full"}
+    empty = Lattice.spanned_by(IntMatrix.zeros(2, 0))
+    assert lattice_membership([0, 0], empty) and not lattice_membership([0, 1], empty)
+    with pytest.raises(ValueError):
+        lattice_membership([1], empty)
+    with pytest.raises(ValueError):
+        lattice_membership(IntMatrix.zeros(2, 2), empty)
+
+
+def test_public_constructors_still_reject_ragged_grids():
+    with pytest.raises(DimensionMismatch):
+        IntMatrix(2, 2, ((1, 2), (3,)))
+    with pytest.raises(DimensionMismatch):
+        IntMatrix(3, 2, ((1, 2), (3, 4)))
+    with pytest.raises(DimensionMismatch):
+        IntMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(ParseError):
+        matrix_from_json({"rows": 2, "cols": 2, "entries": [[1, 2], [3]]})
+    # kernel-built grids skip the row check but not the dimension check
+    with pytest.raises(DimensionMismatch):
+        IntMatrix.zeros(-1, 2)
+    with pytest.raises(DimensionMismatch):
+        IntMatrix.identity(-1)
+    built = IntMatrix.hstack(IntMatrix.identity(2), IntMatrix.zeros(2, 1))
+    assert built == IntMatrix(2, 3, ((1, 0, 0), (0, 1, 0)))
+    assert hash(built) == hash(IntMatrix(2, 3, ((1, 0, 0), (0, 1, 0))))

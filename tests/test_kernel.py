@@ -2,11 +2,15 @@ import random
 
 import pytest
 
+from exactcat.completion import CompletedModel, complete
 from exactcat.documents import parse_model_name
 from exactcat.intlinalg import IntMatrix
 from exactcat.kernel import (
+    CACHE_SIZE,
+    ExactStructureModel,
     GenBounds,
     NotAdmissible,
+    PreconditionError,
     analyze,
     biproduct,
     cokernel,
@@ -18,9 +22,11 @@ from exactcat.kernel import (
     pushout_along_monic,
 )
 from exactcat.models import (
+    PresentedObject,
     cyclic,
     even_rank_split,
     fgab,
+    fgab_object,
     free,
     free_split,
     iso_invariants,
@@ -302,12 +308,12 @@ def test_pushout_pullback_error_paths():
         pullback_along_epic(two, M.identity(z))
 
 
-ARITHMETIC_MODELS = ["fgab", "fgab_split", "vect:3", "free_split", "even_rank_split",
-                     "completion:fgab", "completion:fgab_split",
-                     "completion:even_rank_split"]
+ALL_MODELS = ["fgab", "vect:3", "fgab_split", "free_exact", "free_split", "even_rank_split",
+              "completion:fgab", "completion:fgab_split", "completion:free_exact",
+              "completion:free_split", "completion:even_rank_split"]
 
 
-@pytest.mark.parametrize("name", ARITHMETIC_MODELS)
+@pytest.mark.parametrize("name", ALL_MODELS)
 def test_arithmetic_matches_coercion_path(name):
     # compose, add, negate and - reduce the raw matrix without going back
     # through morphism(); they must store exactly what morphism() stores
@@ -338,3 +344,134 @@ def test_arithmetic_matches_coercion_path(name):
                 assert h.matrix == coerced(a, c, f.matrix @ g.matrix)
                 assert (h - pool[(a, c)][0]).matrix == \
                     coerced(a, c, h.matrix - pool[(a, c)][0].matrix)
+
+
+def _sample_objects(model, rng):
+    """Random objects plus, where the model allows them, presentations with
+    unit or off-diagonal relations and non-identity idempotents."""
+    objs = [model.zero_object()]
+    base = model.base if isinstance(model, CompletedModel) else model
+    if base.model_id in ("fgab", "fgab_split"):
+        extra = [fgab_object(2, [[1], [2]], model=base),
+                 fgab_object(3, [[2, 1], [0, 3], [1, 0]], model=base)]
+        if isinstance(model, CompletedModel):
+            extra = [model.embed(x) for x in extra] + [
+                model.pair(cyclic(6, model=base), IntMatrix.from_rows([[3]]))]
+        objs += extra
+    elif model.model_id == "vect(3)":
+        objs.append(model.object(2, IntMatrix.from_rows([[3, 1], [0, 1]])))
+    objs += [model.random_object(rng, GenBounds(max_gens=3)) for _ in range(6)]
+    return objs
+
+
+def _old_identity(model, a):
+    # the per-class definitions that the cached base identity replaced
+    if isinstance(model, CompletedModel):
+        return model.morphism(a, a, a.payload.idem, check=False)
+    return model.morphism(a, a, IntMatrix.identity(a.payload.ngens), check=False)
+
+
+def _old_biproduct(model, a, b):
+    # every structure map coerced through morphism()
+    ab = model._obj(model.biproduct_payload(a.payload, b.payload))
+    na, nb = model._gens(a.payload), model._gens(b.payload)
+    i1 = IntMatrix.vstack(IntMatrix.identity(na), IntMatrix.zeros(nb, na))
+    i2 = IntMatrix.vstack(IntMatrix.zeros(na, nb), IntMatrix.identity(nb))
+    p1 = IntMatrix.hstack(IntMatrix.identity(na), IntMatrix.zeros(na, nb))
+    p2 = IntMatrix.hstack(IntMatrix.zeros(nb, na), IntMatrix.identity(nb))
+    return ab, [model.morphism(a, ab, i1), model.morphism(b, ab, i2),
+                model.morphism(ab, a, p1), model.morphism(ab, b, p2)]
+
+
+def _old_shear_pair(model, rng, bp):
+    # the composite-and-sum path that the closed form replaced
+    a, c = bp.inj1.dom, bp.inj2.dom
+    f = model.random_morphism(rng, c, a)
+    g = model.random_morphism(rng, a, c)
+    one = _old_identity(model, bp.ob)
+    upper = one + (bp.inj1 @ f @ bp.proj2)
+    lower = one + (bp.inj2 @ g @ bp.proj1)
+    upper_inv = one - (bp.inj1 @ f @ bp.proj2)
+    lower_inv = one - (bp.inj2 @ g @ bp.proj1)
+    return upper @ lower, lower_inv @ upper_inv
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_biproduct_and_shear_closed_forms_match_coercion_path(name):
+    model = parse_model_name(name)
+    rng = random.Random(name)
+    objs = _sample_objects(model, rng)
+    pairs = list(zip(objs, objs[1:] + objs[:1])) + [(objs[-1], objs[-1])]
+    for k, (a, b) in enumerate(pairs):
+        assert model.identity(a).matrix == _old_identity(model, a).matrix
+        bp = model.biproduct(a, b)
+        ab, old = _old_biproduct(model, a, b)
+        assert bp.ob == ab
+        for new, ref in zip((bp.inj1, bp.inj2, bp.proj1, bp.proj2), old):
+            assert (new.dom, new.cod, new.matrix) == (ref.dom, ref.cod, ref.matrix)
+        assert model.biproduct(a, b) is bp
+        r1, r2 = random.Random(k), random.Random(k)
+        t, tinv = model._random_shear_pair(r1, bp)
+        t_old, tinv_old = _old_shear_pair(model, r2, bp)
+        assert r1.random() == r2.random()   # the same draws were made
+        assert t.matrix == t_old.matrix and tinv.matrix == tinv_old.matrix
+        one = model.identity(ab)
+        assert (t @ tinv).same_as(one) and (tinv @ t).same_as(one)
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_memoised_analyze_matches_uncached(name):
+    model = parse_model_name(name)
+    rng = random.Random(name)
+    bounds = GenBounds(max_gens=3)
+    outcomes = set()
+    for _ in range(12):
+        a, b = model.random_object(rng, bounds), model.random_object(rng, bounds)
+        for f in (model.random_morphism(rng, a, b), model.random_admissible(rng, bounds)):
+            memo, plain = model.analyze(f), model._analyze(f)
+            outcomes.add(memo is None)
+            assert (memo is None) == (plain is None)
+            if memo is not None:
+                for field in ("kernel_arrow", "coimage_epic", "image_monic", "cokernel_arrow"):
+                    x, y = getattr(memo, field), getattr(plain, field)
+                    assert (x.dom, x.cod, x.matrix) == (y.dom, y.cod, y.matrix)
+            # an equal arrow built afresh hits the memo
+            again = model.morphism(f.dom, f.cod, f.matrix, check=False)
+            assert model.analyze(again) is memo
+    assert False in outcomes
+
+
+def test_memoised_analyze_keeps_none():
+    two = free_split().morphism(free(1, free_split()), free(1, free_split()),
+                                IntMatrix.from_rows([[2]]))
+    assert two.model.analyze(two) is None and two.model._analyze(two) is None
+    assert two.model.analyze(two) is None
+
+
+def test_model_caches_are_bounded():
+    for cached in (ExactStructureModel._valid_obj, ExactStructureModel.identity,
+                   ExactStructureModel.biproduct, ExactStructureModel._analysis):
+        assert cached.cache_info().maxsize == CACHE_SIZE
+    assert 0 < CACHE_SIZE < 10_000
+
+
+def test_invalid_or_unhashable_payload_raises_precondition():
+    with pytest.raises(PreconditionError):
+        M._obj("not a presentation")
+    with pytest.raises(PreconditionError):
+        M._obj(["not", "hashable"])
+    listed = IntMatrix(1, 1, [[2]])   # the public constructor accepts lists
+    with pytest.raises(PreconditionError):
+        M._obj(PresentedObject(1, listed))
+    with pytest.raises(PreconditionError):
+        complete(M).pair(cyclic(0), listed)
+
+    class BrokenModel(ExactStructureModel):
+        model_id = "broken"
+
+        def validate_object(self, payload):
+            raise TypeError("a bug inside validation")
+
+    # a TypeError from validation itself is not mistaken for an unhashable payload
+    with pytest.raises(TypeError, match="a bug inside validation"):
+        BrokenModel()._obj(1)

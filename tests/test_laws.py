@@ -231,3 +231,23 @@ def test_shrinking_drops_generators():
     assert rep.failures
     witness = rep.failures[0]["witness"]["f"]
     assert witness["dom"]["ngens"] < 3
+
+
+def test_shrink_skips_ill_shaped_candidates_but_propagates_bugs():
+    from exactcat.intlinalg import DimensionMismatch
+    from exactcat.kernel import ExactCatError
+    from exactcat.laws import _shrink
+    m = fgab()
+    a = m.object(2)
+    inst = {"f": m.morphism(a, a, IntMatrix.from_rows([[3, 1], [0, 2]]))}
+    for exc in (ExactCatError, DimensionMismatch, ValueError, IndexError):
+        def ill_shaped(cand, exc=exc):
+            raise exc("candidate breaks the law's shape assumptions")
+        # every candidate is skipped, so the instance comes back unshrunk
+        assert _shrink(inst, ill_shaped, 50) is inst
+
+    def buggy(cand):
+        raise TypeError("a bug in the predicate")
+
+    with pytest.raises(TypeError, match="a bug in the predicate"):
+        _shrink(inst, buggy, 50)
