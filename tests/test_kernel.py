@@ -22,7 +22,6 @@ from exactcat.kernel import (
     pushout_along_monic,
 )
 from exactcat.models import (
-    PresentedObject,
     cyclic,
     even_rank_split,
     fgab,
@@ -449,7 +448,7 @@ def test_memoised_analyze_keeps_none():
 
 
 def test_model_caches_are_bounded():
-    for cached in (ExactStructureModel._valid_obj, ExactStructureModel.identity,
+    for cached in (CompletedModel._valid_pair, ExactStructureModel.identity,
                    ExactStructureModel.biproduct, ExactStructureModel._analysis):
         assert cached.cache_info().maxsize == CACHE_SIZE
     assert 0 < CACHE_SIZE < 10_000
@@ -460,18 +459,16 @@ def test_invalid_or_unhashable_payload_raises_precondition():
         M._obj("not a presentation")
     with pytest.raises(PreconditionError):
         M._obj(["not", "hashable"])
-    listed = IntMatrix(1, 1, [[2]])   # the public constructor accepts lists
     with pytest.raises(PreconditionError):
-        M._obj(PresentedObject(1, listed))
+        complete(M)._obj(["not", "hashable"])
+    listed = IntMatrix(1, 1, [[2]])   # the public constructor accepts lists
     with pytest.raises(PreconditionError):
         complete(M).pair(cyclic(0), listed)
 
-    class BrokenModel(ExactStructureModel):
-        model_id = "broken"
-
+    class BrokenModel(CompletedModel):
         def validate_object(self, payload):
             raise TypeError("a bug inside validation")
 
     # a TypeError from validation itself is not mistaken for an unhashable payload
     with pytest.raises(TypeError, match="a bug inside validation"):
-        BrokenModel()._obj(1)
+        BrokenModel(M)._obj(1)
