@@ -26,6 +26,7 @@ from .kernel import (
     ModelMismatch,
     MorphismHandle,
     NotAdmissible,
+    ObjectAbsent,
     ObjectHandle,
     PreconditionError,
     ShortExactSequence,

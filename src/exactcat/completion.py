@@ -149,7 +149,7 @@ class CompletedModel(ExactStructureModel):
         return self.target.morphism(sd.target, sc.target,
                                     sc.retract @ f.matrix @ sd.monic, check=False)
 
-    def embed_target(self, t: ObjectHandle) -> tuple[ObjectHandle, SplitData]:
+    def embed_target(self, t: ObjectHandle) -> ObjectHandle:
         """Represent a target-model object as a completion object."""
         if self.base.idempotent_complete:
             one = IntMatrix.identity(self.base._gens(t.payload))
@@ -160,7 +160,7 @@ class CompletedModel(ExactStructureModel):
             host = self.pair(self.base.object(2 * t.payload.ngens), (bp.inj1 @ bp.proj1).matrix)
             data = SplitData(t, bp.inj1.matrix, bp.proj1.matrix)
         self._splits[host.payload] = data
-        return host, data
+        return host
 
     def from_target(self, g: MorphismHandle, dom: ObjectHandle,
                     cod: ObjectHandle) -> MorphismHandle:
@@ -169,35 +169,34 @@ class CompletedModel(ExactStructureModel):
             raise PreconditionError("target morphism does not match the splittings")
         return self.morphism(dom, cod, sc.monic @ g.matrix @ sd.retract, check=False)
 
+    def _lift(self, g: MorphismHandle, dom: Optional[ObjectHandle] = None,
+              cod: Optional[ObjectHandle] = None) -> MorphismHandle:
+        """A target arrow as an arrow between the given completion objects;
+        an endpoint not given is the embedding of g's own, domain first."""
+        if dom is None:
+            dom = self.embed_target(g.dom)
+        if cod is None:
+            cod = self.embed_target(g.cod)
+        return self.from_target(g, dom, cod)
+
     # -- structure ----------------------------------------------------------
 
     def kernel(self, f: MorphismHandle) -> Optional[MorphismHandle]:
         k = self.target.kernel(self.to_target(f))
-        if k is None:
-            return None
-        kobj, _ = self.embed_target(k.dom)
-        return self.from_target(k, kobj, f.dom)
+        return None if k is None else self._lift(k, cod=f.dom)
 
     def cokernel(self, f: MorphismHandle) -> Optional[MorphismHandle]:
         c = self.target.cokernel(self.to_target(f))
-        if c is None:
-            return None
-        cobj, _ = self.embed_target(c.cod)
-        return self.from_target(c, f.cod, cobj)
+        return None if c is None else self._lift(c, dom=f.cod)
 
     def _analyze(self, f: MorphismHandle) -> Optional[Analysis]:
         an = self.target.analyze(self.to_target(f))
         if an is None:
             return None
-        kobj, _ = self.embed_target(an.kernel_arrow.dom)
-        iobj, _ = self.embed_target(an.image_monic.dom)
-        cobj, _ = self.embed_target(an.cokernel_arrow.cod)
-        return Analysis(
-            self.from_target(an.kernel_arrow, kobj, f.dom),
-            self.from_target(an.coimage_epic, f.dom, iobj),
-            self.from_target(an.image_monic, iobj, f.cod),
-            self.from_target(an.cokernel_arrow, f.cod, cobj),
-        )
+        k = self._lift(an.kernel_arrow, cod=f.dom)
+        e = self._lift(an.coimage_epic, dom=f.dom)
+        m = self._lift(an.image_monic, dom=e.cod, cod=f.cod)
+        return Analysis(k, e, m, self._lift(an.cokernel_arrow, dom=f.cod))
 
     def is_admissible_monic(self, f: MorphismHandle) -> bool:
         return self.target.is_admissible_monic(self.to_target(f))
@@ -218,8 +217,7 @@ class CompletedModel(ExactStructureModel):
 
     def projective_cover_epi(self, a: ObjectHandle) -> MorphismHandle:
         cover = self.target.projective_cover_epi(self._split(a).target)
-        pobj, _ = self.embed_target(cover.dom)
-        return self.from_target(cover, pobj, a)
+        return self._lift(cover, cod=a)
 
     # -- generators -----------------------------------------------------------
 
@@ -237,29 +235,21 @@ class CompletedModel(ExactStructureModel):
 
     def random_ses(self, rng: random.Random, bounds: GenBounds) -> ShortExactSequence:
         s = self.target.random_ses(rng, bounds)
-        sub, _ = self.embed_target(s.sub)
-        mid, _ = self.embed_target(s.mid)
-        quot, _ = self.embed_target(s.quot)
-        return ShortExactSequence(self.from_target(s.i, sub, mid),
-                                  self.from_target(s.p, mid, quot))
+        i = self._lift(s.i)
+        return ShortExactSequence(i, self._lift(s.p, dom=i.cod))
 
     def random_admissible(self, rng: random.Random, bounds: GenBounds) -> MorphismHandle:
-        f = self.target.random_admissible(rng, bounds)
-        dom, _ = self.embed_target(f.dom)
-        cod, _ = self.embed_target(f.cod)
-        return self.from_target(f, dom, cod)
+        return self._lift(self.target.random_admissible(rng, bounds))
 
     def random_admissible_monic_from(self, rng: random.Random, a: ObjectHandle,
                                      bounds: GenBounds) -> MorphismHandle:
         i = self.target.random_admissible_monic_from(rng, self._split(a).target, bounds)
-        cod, _ = self.embed_target(i.cod)
-        return self.from_target(i, a, cod)
+        return self._lift(i, dom=a)
 
     def random_admissible_epic_onto(self, rng: random.Random, b: ObjectHandle,
                                     bounds: GenBounds) -> MorphismHandle:
         e = self.target.random_admissible_epic_onto(rng, self._split(b).target, bounds)
-        dom, _ = self.embed_target(e.dom)
-        return self.from_target(e, dom, b)
+        return self._lift(e, cod=b)
 
     def random_automorphism(self, rng: random.Random, a: ObjectHandle) -> MorphismHandle:
         u = self.target.random_automorphism(rng, self._split(a).target)
@@ -320,9 +310,13 @@ def split_idempotent(x: ObjectHandle, q: MorphismHandle) -> SplitIdempotentResul
 
 @dataclass(frozen=True, eq=False)
 class ExtendedFunctor:
-    """Extension of an additive functor to the completions: (A, p) -> (F A, F p)."""
+    """Extension of an additive functor to the completions: (A, p) -> (F A, F p).
 
-    inner: object   # anything with apply_object / apply_morphism
+    The inner functor provides ``apply_object``, ``apply_morphism`` and a
+    ``contravariant`` flag; a contravariant one reverses the arrows.
+    """
+
+    inner: object
     source: CompletedModel
     dest: CompletedModel
 
@@ -345,14 +339,15 @@ class ExtendedFunctor:
         ff = self.inner.apply_morphism(base_f)
         dom = self.apply_object(f.dom)
         cod = self.apply_object(f.cod)
-        if getattr(self.inner, "contravariant", False):
+        if self.inner.contravariant:
             dom, cod = cod, dom
         return self.dest.morphism(dom, cod, ff.matrix, check=False)
 
 
 def extend_functor(functor, source: CompletedModel,
                    dest: CompletedModel) -> ExtendedFunctor:
-    """Extend an additive functor of the base models to the completions."""
+    """Extend an additive functor of the base models to the completions;
+    the functor must declare ``contravariant`` (see ``ExtendedFunctor``)."""
     return ExtendedFunctor(functor, source, dest)
 
 

@@ -243,8 +243,7 @@ def strict_triangle(f: ChainMap) -> StrictTriangle:
     return StrictTriangle(f, inc, proj, data)
 
 
-def find_null_homotopy(f: ChainMap, rng=None,
-                       ) -> Optional[ChainHomotopy]:
+def find_null_homotopy(f: ChainMap) -> Optional[ChainHomotopy]:
     """Witness h with f = d h + h d, or None when no witness exists.
 
     The unknown blocks for all degrees are flattened into one integer
@@ -280,7 +279,7 @@ def find_null_homotopy(f: ChainMap, rng=None,
             return None
     if trivially_zero:
         return ChainHomotopy(a, b, {})
-    sol = sys.solve(rng=rng)
+    sol = sys.solve()
     if sol is None:
         return None
     h = ChainHomotopy(a, b, {n: sol[f"h{n}"] for n in unknowns})

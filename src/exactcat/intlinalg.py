@@ -54,6 +54,8 @@ class IntMatrix:
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
             raise DimensionMismatch("negative matrix dimension")
+        # rows given as lists are stored as tuples, so the matrix hashes
+        object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
         if len(self.entries) != self.rows:
             raise DimensionMismatch("row count does not match entry grid")
         for row in self.entries:

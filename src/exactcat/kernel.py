@@ -48,6 +48,10 @@ class NotAdmissible(PreconditionError):
     """An arrow fails the admissibility required by the operation."""
 
 
+class ObjectAbsent(PreconditionError):
+    """A kernel, cokernel or image is not an object of the model (a legal outcome)."""
+
+
 class InternalCheckError(ExactCatError):
     """A construction guaranteed by the axioms failed; indicates a bug."""
 

@@ -812,20 +812,15 @@ def check_functor_exact(functor, model: ExactStructureModel,
         return {"i": s.i, "p": s.p, "f": f}
 
     def check(inst):
-        fi = functor.apply_morphism(inst["i"])
-        fp = functor.apply_morphism(inst["p"])
-        if functor.contravariant:
-            fi, fp = fp, fi
-        if not tgt_model.is_short_exact(fi, fp):
+        if not tgt_model.is_short_exact(*functor.exact_pair(inst["i"], inst["p"])):
             return False
+        # the image of the square's paths i, map and f, monic; for a
+        # contravariant functor it runs backwards (the bicartesian test is
+        # self-dual)
         po = pushout_along_monic(inst["i"], inst["f"])
-        sq = [inst["i"], inst["f"], po.map, po.monic]
-        fsq = [functor.apply_morphism(m) for m in sq]
-        if functor.contravariant:
-            # the image square of a contravariant functor is a pull-back
-            # question; the bicartesian test is self-dual, arrows reversed
-            return square_is_bicartesian(fsq[2], fsq[3], fsq[0], fsq[1])
-        return square_is_bicartesian(fsq[0], fsq[1], fsq[2], fsq[3])
+        u, s = functor.exact_pair(inst["i"], po.map)
+        v, t = functor.exact_pair(inst["f"], po.monic)
+        return square_is_bicartesian(u, v, s, t)
 
     edges = []
     from .models import cyclic, fgab

@@ -49,6 +49,7 @@ from .kernel import (
     GenBounds,
     IsoInvariants,
     MorphismHandle,
+    ObjectAbsent,
     ObjectHandle,
     PreconditionError,
     ShortExactSequence,
@@ -184,13 +185,13 @@ class PresentedModel(ExactStructureModel):
     def kernel(self, f: MorphismHandle) -> Optional[MorphismHandle]:
         try:
             return self.subobject(f.dom, self._kernel_lattice(f))
-        except PreconditionError:
+        except ObjectAbsent:
             return None
 
     def cokernel(self, f: MorphismHandle) -> Optional[MorphismHandle]:
         try:
             return self.quotient_by(f.cod, f.matrix)
-        except PreconditionError:
+        except ObjectAbsent:
             return None
 
     def _analyze(self, f: MorphismHandle) -> Optional[Analysis]:
@@ -200,7 +201,7 @@ class PresentedModel(ExactStructureModel):
             return None
         try:
             m = self.subobject(f.cod, self._image_lattice(f))
-        except PreconditionError:
+        except ObjectAbsent:
             return None
         e = self.solve_right_factor(m, f)
         if e is None:
@@ -564,7 +565,7 @@ class EvenRankSplitModel(FreeSplitModel):
     def validate_object(self, payload: object) -> None:
         super().validate_object(payload)
         if payload.ngens % 2:
-            raise PreconditionError("even_rank_split objects have even rank")
+            raise ObjectAbsent("even_rank_split objects have even rank")
 
     def random_object(self, rng: random.Random, bounds: GenBounds) -> ObjectHandle:
         rng.randrange(0, bounds.max_gens + 1)   # unused free-rank draw, kept for seed stability

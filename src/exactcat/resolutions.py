@@ -358,16 +358,6 @@ class HomStructure:
         return solve_columns_mod_lattice(self.basis, vecs, nmat)
 
 
-def _vec(m: IntMatrix) -> IntMatrix:
-    return IntMatrix(m.rows * m.cols, 1,
-                     tuple((m.entries[i % m.rows][i // m.rows],)
-                           for i in range(m.rows * m.cols)))
-
-
-def _vec_many(ms) -> IntMatrix:
-    return IntMatrix.hstack(*[_vec(m) for m in ms]) if ms else IntMatrix.zeros(0, 0)
-
-
 @lru_cache(maxsize=4096)
 def hom_structure(src: ObjectHandle, dst: ObjectHandle) -> HomStructure:
     model = src.model
@@ -396,6 +386,22 @@ class FunctorSpec:
     def contravariant(self) -> bool:
         return self.variant == "hom_into"
 
+    def degree(self, i: int) -> int:
+        """Cochain degree of the i-th derived value in a transformed
+        resolution: i for Ext^i, -i for L_i."""
+        return i if self.contravariant else -i
+
+    def in_order(self, a, b):
+        """a, b swapped when the functor is contravariant: the order in
+        which their images appear in an image sequence."""
+        return (b, a) if self.contravariant else (a, b)
+
+    def exact_pair(self, f: MorphismHandle,
+                   g: MorphismHandle) -> tuple[MorphismHandle, MorphismHandle]:
+        """Images of a composable pair A -f-> B -g-> C, in the order they
+        compose: (F f, F g), or (F g, F f) for a contravariant functor."""
+        return self.in_order(self.apply_morphism(f), self.apply_morphism(g))
+
     @property
     def label(self) -> str:
         return {"tensor": "Tor", "hom_from": "HomFrom", "hom_into": "Ext"}[self.variant]
@@ -422,22 +428,15 @@ class FunctorSpec:
             return model.morphism(dom, cod,
                                   IntMatrix.kron(f.matrix, IntMatrix.identity(
                                       t.payload.ngens)), check=False)
+        # columnwise vec(f g) = (1 (x) f) vec(g) and vec(g f) = (f^T (x) 1) vec(g)
+        one = IntMatrix.identity(t.payload.ngens)
         if self.variant == "hom_from":
-            hs_dom = hom_structure(t, f.dom)
-            hs_cod = hom_structure(t, f.cod)
-            mats = [f.matrix @ hs_dom.gen_matrix(k)
-                    for k in range(hs_dom.ob.payload.ngens)]
-            coords = hs_cod.coords(_pad_vecs(mats, f.cod.payload.ngens,
-                                             t.payload.ngens))
-            if coords is None:
-                raise InternalCheckError("hom functor action is not defined")
-            return model.morphism(hs_dom.ob, hs_cod.ob, coords, check=False)
-        hs_dom = hom_structure(f.cod, t)   # contravariant
-        hs_cod = hom_structure(f.dom, t)
-        mats = [hs_dom.gen_matrix(k) @ f.matrix
-                for k in range(hs_dom.ob.payload.ngens)]
-        coords = hs_cod.coords(_pad_vecs(mats, t.payload.ngens,
-                                         f.dom.payload.ngens))
+            hs_dom, hs_cod = hom_structure(t, f.dom), hom_structure(t, f.cod)
+            act = IntMatrix.kron(one, f.matrix)
+        else:
+            hs_dom, hs_cod = hom_structure(f.cod, t), hom_structure(f.dom, t)
+            act = IntMatrix.kron(f.matrix.transpose(), one)
+        coords = hs_cod.coords(act @ hs_dom.basis)
         if coords is None:
             raise InternalCheckError("hom functor action is not defined")
         return model.morphism(hs_dom.ob, hs_cod.ob, coords, check=False)
@@ -450,12 +449,6 @@ class FunctorSpec:
             return chain_complex(model, x.lo, comps, diffs, check=False)
         return chain_complex(model, -x.hi, list(reversed(comps)),
                              list(reversed(diffs)), check=False)
-
-
-def _pad_vecs(mats, rows, cols) -> IntMatrix:
-    if mats:
-        return _vec_many(mats)
-    return IntMatrix.zeros(rows * cols, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -475,10 +468,7 @@ def derived(functor: FunctorSpec, a: ObjectHandle, max_degree: int = 1,
         res = random_resolution(a, rng) if rng is not None else \
             projective_resolution(a)
     fp = functor.apply_complex(res.complex)
-    values = {}
-    for i in range(max_degree + 1):
-        deg = i if functor.contravariant else -i
-        values[i] = homology(fp, deg)
+    values = {i: homology(fp, functor.degree(i)) for i in range(max_degree + 1)}
     return DerivedFunctorResult(functor, a, values, res, res.truncated)
 
 
@@ -521,73 +511,50 @@ def derived_les(functor: FunctorSpec, s: ShortExactSequence,
     The three resolutions come from the horseshoe, the functor is applied
     degreewise (split columns stay exact), homology is taken, and the
     connecting morphisms come from the zig-zag through the split sections.
+    A covariant F gives, from L_max down to L_0,
+
+        L_k F A' -> L_k F A -> L_k F A'' -> L_{k-1} F A' -> ... -> L_0 F A'',
+
+    and the contravariant Hom(-, T) gives, from Ext^0 up to Ext^max,
+
+        Ext^0 A'' -> Ext^0 A -> Ext^0 A' -> Ext^1 A'' -> ... -> Ext^max A'.
+
+    Both run through the transformed resolutions in rising cochain degree
+    (``FunctorSpec.degree``); ``FunctorSpec.in_order`` says which outer
+    term starts the transformed columns.
     """
     model = s.i.model
     p_sub = projective_resolution(s.sub)
     p_quot = projective_resolution(s.quot)
     hs = horseshoe(s, p_sub, p_quot)
-    p_mid = hs.middle
-    f_sub = functor.apply_complex(p_sub.complex)
-    f_mid = functor.apply_complex(p_mid.complex)
-    f_quot = functor.apply_complex(p_quot.complex)
+    sub_cx, quot_cx = (functor.apply_complex(r.complex)
+                       for r in functor.in_order(p_sub, p_quot))
+    f_mid = functor.apply_complex(hs.middle.complex)
 
     # degreewise maps of the transformed column sequences
     inj_comps, proj_comps, sect_comps = {}, {}, {}
-    for k in range(len(hs.columns)):
-        col = hs.columns[k]
-        deg = -k if not functor.contravariant else k
-        if not functor.contravariant:
-            inj_comps[deg] = functor.apply_morphism(col.i)
-            proj_comps[deg] = functor.apply_morphism(col.p)
-            sect_comps[deg] = functor.apply_morphism(hs.sections[k])
-        else:
-            inj_comps[deg] = functor.apply_morphism(col.p)
-            proj_comps[deg] = functor.apply_morphism(col.i)
-            sect_comps[deg] = functor.apply_morphism(hs.retractions[k])
-    if not functor.contravariant:
-        sub_cx, quot_cx = f_sub, f_quot
-    else:
-        sub_cx, quot_cx = f_quot, f_sub
+    for k, col in enumerate(hs.columns):
+        n = functor.degree(k)
+        inj_comps[n], proj_comps[n] = functor.exact_pair(col.i, col.p)
+        # the section P'' -> P and the retraction P -> P' compose; the
+        # image of the first in order splits the transformed column
+        sect_comps[n] = functor.apply_morphism(
+            functor.in_order(hs.sections[k], hs.retractions[k])[0])
     inj = chain_map(sub_cx, f_mid, inj_comps, check=True)
     proj = chain_map(f_mid, quot_cx, proj_comps, check=True)
     for n in inj_comps:
         if not model.is_short_exact(inj_comps[n], proj_comps[n]):
             raise InternalCheckError("transformed column is not short exact")
 
-    def value(cx: ChainComplex, i: int) -> ObjectHandle:
-        return homology(cx, i if functor.contravariant else -i)
-
-    def induced(f: ChainMap, i: int) -> MorphismHandle:
-        return homology_induced(f, i if functor.contravariant else -i)
-
+    degrees = sorted(functor.degree(i) for i in range(max_degree + 1))
     arrows: list[MorphismHandle] = []
-    objects: list[ObjectHandle] = []
-    if not functor.contravariant:
-        # L_k A' -> L_k A -> L_k A'' -> L_{k-1} A' -> ...
-        for i in range(max_degree, -1, -1):
-            if not arrows:
-                objects.append(value(sub_cx, i))
-            arrows.append(induced(inj, i))
-            objects.append(value(f_mid, i))
-            arrows.append(induced(proj, i))
-            objects.append(value(quot_cx, i))
-            if i > 0:
-                delta = _connecting_map(inj, proj, sect_comps, -i)
-                arrows.append(delta)
-                objects.append(value(sub_cx, i - 1))
-    else:
-        # Ext^0 A'' -> Ext^0 A -> Ext^0 A' -> Ext^1 A'' -> ...
-        for i in range(0, max_degree + 1):
-            if not arrows:
-                objects.append(value(sub_cx, i))
-            arrows.append(induced(inj, i))
-            objects.append(value(f_mid, i))
-            arrows.append(induced(proj, i))
-            objects.append(value(quot_cx, i))
-            if i < max_degree:
-                delta = _connecting_map(inj, proj, sect_comps, i)
-                arrows.append(delta)
-                objects.append(value(sub_cx, i + 1))
+    objects = [homology(sub_cx, degrees[0])]
+    for n in degrees:
+        if n > degrees[0]:
+            arrows.append(_connecting_map(inj, proj, sect_comps, n - 1))
+            objects.append(homology(sub_cx, n))
+        arrows += [homology_induced(inj, n), homology_induced(proj, n)]
+        objects += [homology(f_mid, n), homology(quot_cx, n)]
 
     # verify exactness at every joint, closing both ends with zero maps
     zero_head = model.zero_morphism(model.zero_object(), arrows[0].dom)

@@ -154,6 +154,28 @@ def test_extend_functor_tensor():
         assert fea.payload.idem == t.apply_morphism(m.identity(a)).matrix
 
 
+def test_extend_functor_contravariant_reverses_arrows():
+    # Hom(-, Z) on completion objects: (A, p) -> (Hom(A, Z), Hom(p, Z))
+    m = fgab()
+    comp = complete(m)
+    ext = extend_functor(FunctorSpec("hom_into", cyclic(0)), comp, comp)
+    rng = random.Random(7)
+    for _ in range(6):
+        x, _ = comp.random_split_pair(rng, GenBounds(max_gens=2))
+        y, _ = comp.random_split_pair(rng, GenBounds(max_gens=2))
+        h = comp.random_morphism(rng, x, y)
+        fh = ext.apply_morphism(h)
+        assert fh.dom == ext.apply_object(y) and fh.cod == ext.apply_object(x)
+
+
+def test_completion_pair_from_list_row_idempotent():
+    comp = complete(fgab())
+    a = fgab().object(2)
+    listed = comp.pair(a, IntMatrix(2, 2, [[1, 0], [0, 0]]))
+    assert listed == comp.pair(a, IntMatrix.from_rows([[1, 0], [0, 0]]))
+    assert comp.iso_invariants(listed).free_rank == 1
+
+
 def test_extend_functor_composition_law():
     m = fgab()
     comp = complete(m)
@@ -295,3 +317,95 @@ def test_split_data_matches_per_base_formulas(base):
             retract = solve_columns_mod_lattice(monic, p, IntMatrix.zeros(p.rows, 0))
         got = model._split(a)
         assert (got.target, got.monic, got.retract) == (target, monic, retract), a
+
+
+# -- transport through the target model, against the per-method path -------
+
+
+def _same(f, g):
+    return (f.dom.payload, f.cod.payload, f.matrix) == \
+        (g.dom.payload, g.cod.payload, g.matrix)
+
+
+def _old_kernel(m, f):
+    k = m.target.kernel(m.to_target(f))
+    if k is None:
+        return None
+    return m.from_target(k, m.embed_target(k.dom), f.dom)
+
+
+def _old_cokernel(m, f):
+    c = m.target.cokernel(m.to_target(f))
+    if c is None:
+        return None
+    return m.from_target(c, f.cod, m.embed_target(c.cod))
+
+
+def _old_analyze(m, f):
+    an = m.target.analyze(m.to_target(f))
+    if an is None:
+        return None
+    kobj = m.embed_target(an.kernel_arrow.dom)
+    iobj = m.embed_target(an.image_monic.dom)
+    cobj = m.embed_target(an.cokernel_arrow.cod)
+    return (m.from_target(an.kernel_arrow, kobj, f.dom),
+            m.from_target(an.coimage_epic, f.dom, iobj),
+            m.from_target(an.image_monic, iobj, f.cod),
+            m.from_target(an.cokernel_arrow, f.cod, cobj))
+
+
+def _old_random_ses(m, rng):
+    s = m.target.random_ses(rng, B)
+    sub, mid, quot = (m.embed_target(x) for x in (s.sub, s.mid, s.quot))
+    return m.from_target(s.i, sub, mid), m.from_target(s.p, mid, quot)
+
+
+def _old_random_admissible(m, rng):
+    f = m.target.random_admissible(rng, B)
+    return m.from_target(f, m.embed_target(f.dom), m.embed_target(f.cod))
+
+
+def _old_monic_from(m, rng, a):
+    i = m.target.random_admissible_monic_from(rng, m._split(a).target, B)
+    return m.from_target(i, a, m.embed_target(i.cod))
+
+
+def _old_epic_onto(m, rng, b):
+    e = m.target.random_admissible_epic_onto(rng, m._split(b).target, B)
+    return m.from_target(e, m.embed_target(e.dom), b)
+
+
+def _old_cover(m, a):
+    cover = m.target.projective_cover_epi(m._split(a).target)
+    return m.from_target(cover, m.embed_target(cover.dom), a)
+
+
+@pytest.mark.parametrize("base", [fgab(), even_rank_split()], ids=lambda m: m.model_id)
+def test_completion_transport_matches_per_method_path(base):
+    comp = complete(base)
+    rng = random.Random(93)
+    for k in range(12):
+        seed = rng.randrange(10 ** 6)
+        s = comp.random_ses(random.Random(seed), B)
+        old_i, old_p = _old_random_ses(comp, random.Random(seed))
+        assert _same(s.i, old_i) and _same(s.p, old_p)
+        f = comp.random_admissible(random.Random(seed), B)
+        assert _same(f, _old_random_admissible(comp, random.Random(seed)))
+        a = comp.random_object(rng, B)
+        assert _same(comp.random_admissible_monic_from(random.Random(seed), a, B),
+                     _old_monic_from(comp, random.Random(seed), a))
+        assert _same(comp.random_admissible_epic_onto(random.Random(seed), a, B),
+                     _old_epic_onto(comp, random.Random(seed), a))
+        assert _same(comp.projective_cover_epi(a), _old_cover(comp, a))
+        # admissible arrows and arbitrary ones, whose kernel may be absent
+        for g in (f, s.i, s.p, comp.random_morphism(rng, a, comp.random_object(rng, B))):
+            for new, old in ((comp.kernel(g), _old_kernel(comp, g)),
+                             (comp.cokernel(g), _old_cokernel(comp, g))):
+                assert (new is None) == (old is None)
+                assert new is None or _same(new, old)
+            an, old_an = comp._analyze(g), _old_analyze(comp, g)
+            assert (an is None) == (old_an is None)
+            if an is not None:
+                assert all(_same(x, y) for x, y in zip(
+                    (an.kernel_arrow, an.coimage_epic, an.image_monic,
+                     an.cokernel_arrow), old_an))

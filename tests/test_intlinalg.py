@@ -756,3 +756,14 @@ def test_public_constructors_still_reject_ragged_grids():
     built = IntMatrix.hstack(IntMatrix.identity(2), IntMatrix.zeros(2, 1))
     assert built == IntMatrix(2, 3, ((1, 0, 0), (0, 1, 0)))
     assert hash(built) == hash(IntMatrix(2, 3, ((1, 0, 0), (0, 1, 0))))
+
+
+def test_list_rows_are_stored_as_tuples():
+    listed = IntMatrix(2, 2, [[2, 1], [0, 3]])
+    tupled = IntMatrix(2, 2, ((2, 1), (0, 3)))
+    assert listed.entries == tupled.entries and isinstance(listed.entries[0], tuple)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert column_hnf(listed) == column_hnf(tupled)
+    assert IntMatrix(1, 1, [[2]]) == IntMatrix.from_rows([[2]])
+    with pytest.raises(DimensionMismatch):
+        IntMatrix(2, 2, [[1, 2], [3]])

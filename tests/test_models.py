@@ -4,7 +4,7 @@ import pytest
 
 from exactcat.intlinalg import IntMatrix, column_hnf, preimage_basis
 from exactcat.completion import CompletedModel, complete
-from exactcat.kernel import GenBounds, MorphismSystem, PreconditionError
+from exactcat.kernel import GenBounds, MorphismSystem, ObjectAbsent, PreconditionError
 from exactcat.models import (
     PresentedObject,
     cyclic,
@@ -463,3 +463,36 @@ def test_hom_basis_matches_kronecker_system(model):
                 for i in range(b.ngens)))
             ab = fgab()
             ab.morphism(ab.object(a.ngens, a.relations), ab.object(b.ngens, b.relations), x)
+
+
+def test_absent_object_is_the_only_missing_kernel():
+    me = even_rank_split()
+    x = me.object(2)
+    proj = me.morphism(x, x, IntMatrix.diagonal([1, 0]))
+    # the rank-one kernel, cokernel and image are not objects of the model
+    assert me.kernel(proj) is None
+    assert me.cokernel(proj) is None
+    assert me.analyze(proj) is None
+    with pytest.raises(ObjectAbsent, match="even rank"):
+        me.object(1)
+
+
+@pytest.mark.parametrize("op", ["kernel", "cokernel", "analyze"])
+def test_other_preconditions_propagate_from_kernels(op):
+    # a PreconditionError raised for any other reason while building the
+    # kernel, cokernel or image object is not mistaken for "none exists"
+    class Faulty(type(fgab())):
+        model_id = "faulty"
+        armed = False
+
+        def validate_object(self, payload):
+            super().validate_object(payload)
+            if self.armed:
+                raise PreconditionError("validator fault")
+
+    m = Faulty()
+    a = m.object(2)
+    f = m.morphism(a, a, IntMatrix.from_rows([[2, 0], [0, 0]]))
+    m.armed = True
+    with pytest.raises(PreconditionError, match="validator fault"):
+        getattr(m, op)(f)

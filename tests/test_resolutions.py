@@ -5,10 +5,14 @@ import pytest
 
 from exactcat.complexes import (
     chain_complex,
+    chain_map,
     find_null_homotopy,
+    homology,
+    homology_induced,
     is_acyclic,
     mapping_cone,
 )
+from exactcat.diagrams import is_exact_pair
 from exactcat.completion import complete
 from exactcat.intlinalg import IntMatrix
 from exactcat.kernel import GenBounds, PreconditionError, ShortExactSequence
@@ -22,6 +26,7 @@ from exactcat.models import (
 )
 from exactcat.resolutions import (
     FunctorSpec,
+    _connecting_map,
     compare_lift,
     derived,
     derived_les,
@@ -360,6 +365,142 @@ def test_derived_les_random():
         assert derived_les(f, s, max_degree=1).exact
         if k < 25:
             assert derived_les(g, s, max_degree=1).exact
+
+
+def _derived_les_two_branches(functor, s, max_degree):
+    # derived_les as it was written with one branch per variance, kept as
+    # the oracle of the single-loop version
+    model = s.i.model
+    p_sub = projective_resolution(s.sub)
+    p_quot = projective_resolution(s.quot)
+    hs = horseshoe(s, p_sub, p_quot)
+    f_sub = functor.apply_complex(p_sub.complex)
+    f_mid = functor.apply_complex(hs.middle.complex)
+    f_quot = functor.apply_complex(p_quot.complex)
+    inj_comps, proj_comps, sect_comps = {}, {}, {}
+    for k in range(len(hs.columns)):
+        col = hs.columns[k]
+        deg = -k if not functor.contravariant else k
+        if not functor.contravariant:
+            inj_comps[deg] = functor.apply_morphism(col.i)
+            proj_comps[deg] = functor.apply_morphism(col.p)
+            sect_comps[deg] = functor.apply_morphism(hs.sections[k])
+        else:
+            inj_comps[deg] = functor.apply_morphism(col.p)
+            proj_comps[deg] = functor.apply_morphism(col.i)
+            sect_comps[deg] = functor.apply_morphism(hs.retractions[k])
+    if not functor.contravariant:
+        sub_cx, quot_cx = f_sub, f_quot
+    else:
+        sub_cx, quot_cx = f_quot, f_sub
+    inj = chain_map(sub_cx, f_mid, inj_comps, check=True)
+    proj = chain_map(f_mid, quot_cx, proj_comps, check=True)
+
+    def value(cx, i):
+        return homology(cx, i if functor.contravariant else -i)
+
+    def induced(f, i):
+        return homology_induced(f, i if functor.contravariant else -i)
+
+    arrows, objects = [], []
+    if not functor.contravariant:
+        for i in range(max_degree, -1, -1):
+            if not arrows:
+                objects.append(value(sub_cx, i))
+            arrows.append(induced(inj, i))
+            objects.append(value(f_mid, i))
+            arrows.append(induced(proj, i))
+            objects.append(value(quot_cx, i))
+            if i > 0:
+                arrows.append(_connecting_map(inj, proj, sect_comps, -i))
+                objects.append(value(sub_cx, i - 1))
+    else:
+        for i in range(0, max_degree + 1):
+            if not arrows:
+                objects.append(value(sub_cx, i))
+            arrows.append(induced(inj, i))
+            objects.append(value(f_mid, i))
+            arrows.append(induced(proj, i))
+            objects.append(value(quot_cx, i))
+            if i < max_degree:
+                arrows.append(_connecting_map(inj, proj, sect_comps, i))
+                objects.append(value(sub_cx, i + 1))
+    zero_head = model.zero_morphism(model.zero_object(), arrows[0].dom)
+    zero_tail = model.zero_morphism(arrows[-1].cod, model.zero_object())
+    seq = [zero_head] + arrows + [zero_tail]
+    exact = all(is_exact_pair(u, v) for u, v in zip(seq, seq[1:]))
+    return arrows, objects, exact
+
+
+@pytest.mark.parametrize("variant,target", [("tensor", cyclic(6)),
+                                            ("hom_from", cyclic(0)),
+                                            ("hom_from", cyclic(4)),
+                                            ("hom_into", cyclic(4)),
+                                            ("hom_into", cyclic(0))])
+def test_derived_les_matches_two_branch_oracle(variant, target):
+    functor = FunctorSpec(variant, target)
+    rng = random.Random(91)
+    seqs = [ShortExactSequence(mor(cyclic(0), cyclic(0), [[2]]),
+                               mor(cyclic(0), cyclic(2), [[1]]))]
+    seqs += [M.random_ses(rng, B) for _ in range(6)]
+    for s in seqs:
+        for max_degree in (0, 1, 2):
+            got = derived_les(functor, s, max_degree=max_degree)
+            arrows, objects, exact = _derived_les_two_branches(functor, s, max_degree)
+            assert [(a.dom.payload, a.cod.payload, a.matrix) for a in got.arrows] == \
+                [(a.dom.payload, a.cod.payload, a.matrix) for a in arrows]
+            assert [o.payload for o in got.objects] == [o.payload for o in objects]
+            assert got.exact == exact
+            assert len(got.arrows) == 3 * max_degree + 2
+
+
+def test_functor_variance_facts():
+    z, z2 = cyclic(0), cyclic(2)
+    i, p = mor(z, z, [[2]]), mor(z, z2, [[1]])
+    for variant in ("tensor", "hom_from", "hom_into"):
+        f = FunctorSpec(variant, cyclic(4))
+        fi, fp = f.apply_morphism(i), f.apply_morphism(p)
+        first, second = f.exact_pair(i, p)
+        if variant == "hom_into":
+            assert [f.degree(k) for k in range(3)] == [0, 1, 2]
+            assert f.in_order("a", "b") == ("b", "a")
+            assert first.same_as(fp) and second.same_as(fi)
+        else:
+            assert [f.degree(k) for k in range(3)] == [0, -1, -2]
+            assert f.in_order("a", "b") == ("a", "b")
+            assert first.same_as(fi) and second.same_as(fp)
+        # the pair composes in the order given
+        assert first.cod == second.dom
+        assert (second @ first).is_zero()
+
+
+@pytest.mark.parametrize("variant", ["hom_from", "hom_into"])
+def test_hom_action_matches_generatorwise_composites(variant):
+    # the Kronecker action on the vec'd basis equals composing with each
+    # Hom generator and solving for its coordinates
+    rng = random.Random(92)
+    for t in (cyclic(0), cyclic(4), fgab_object(2, [[2], [0]])):
+        functor = FunctorSpec(variant, t)
+        for _ in range(8):
+            a, b = M.random_object(rng, B), M.random_object(rng, B)
+            f = M.random_morphism(rng, a, b)
+            got = functor.apply_morphism(f)
+            if variant == "hom_from":
+                hs_dom, hs_cod = hom_structure(t, a), hom_structure(t, b)
+                mats = [f.matrix @ hs_dom.gen_matrix(k)
+                        for k in range(hs_dom.ob.payload.ngens)]
+            else:
+                hs_dom, hs_cod = hom_structure(b, t), hom_structure(a, t)
+                mats = [hs_dom.gen_matrix(k) @ f.matrix
+                        for k in range(hs_dom.ob.payload.ngens)]
+            nrows = hs_cod.dst.payload.ngens * hs_cod.src.payload.ngens
+            vecs = IntMatrix(nrows, len(mats), tuple(
+                tuple(m.entries[r % m.rows][r // m.rows] for m in mats)
+                for r in range(nrows)))
+            coords = hs_cod.coords(vecs)
+            want = M.morphism(hs_dom.ob, hs_cod.ob, coords)
+            assert (got.dom, got.cod) == (want.dom, want.cod)
+            assert got.matrix == want.matrix
 
 
 def test_functor_additivity():
