@@ -25,15 +25,12 @@ from .kernel import (
     InternalCheckError,
     IsoInvariants,
     MorphismHandle,
+    ObjectAbsent,
     ObjectHandle,
     PreconditionError,
     ShortExactSequence,
 )
 from .models import PresentedModel, free_split
-
-
-class KernelAbsent(PreconditionError):
-    """The requested kernel does not exist in the model (a legal outcome)."""
 
 
 @dataclass(frozen=True)
@@ -59,8 +56,6 @@ class CompletedModel(ExactStructureModel):
         self.base = base
         self.model_id = f"completion({base.model_id})"
         self.abelian = base.abelian
-        self.idempotent_complete = True
-        self.weakly_idempotent_complete = True
         self.target: PresentedModel = base if base.idempotent_complete else free_split()
         self._splits: dict[CompletionObject, SplitData] = {}
 
@@ -129,18 +124,27 @@ class CompletedModel(ExactStructureModel):
     # -- splitting through the target model --------------------------------
 
     def _split(self, a: ObjectHandle) -> SplitData:
+        """(A, 1) splits as A itself, the embedding of the base; any other
+        pair splits through the image of p.  The result depends on the pair
+        alone, so the oldest entries beyond CACHE_SIZE are dropped."""
         payload = a.payload
         hit = self._splits.get(payload)
         if hit is not None:
             return hit
         target = self.target
         host = target._obj(payload.base.payload)
-        p = target.morphism(host, host, payload.idem, check=False)
-        mono = target.subobject(host, target._image_lattice(p))
-        ret = target.solve_right_factor(mono, p)
-        if ret is None:
-            raise InternalCheckError("idempotent image retraction is missing")
-        data = SplitData(mono.dom, mono.matrix, ret.matrix)
+        one = IntMatrix.identity(payload.idem.rows)
+        if payload.idem == one:
+            data = SplitData(host, one, one)
+        else:
+            p = target.morphism(host, host, payload.idem, check=False)
+            mono = target.subobject(host, target._image_lattice(p))
+            ret = target.solve_right_factor(mono, p)
+            if ret is None:
+                raise InternalCheckError("idempotent image retraction is missing")
+            data = SplitData(mono.dom, mono.matrix, ret.matrix)
+        if len(self._splits) >= CACHE_SIZE:
+            del self._splits[next(iter(self._splits))]
         self._splits[payload] = data
         return data
 
@@ -152,15 +156,10 @@ class CompletedModel(ExactStructureModel):
     def embed_target(self, t: ObjectHandle) -> ObjectHandle:
         """Represent a target-model object as a completion object."""
         if self.base.idempotent_complete:
-            one = IntMatrix.identity(self.base._gens(t.payload))
-            host, data = self.pair(t, one), SplitData(t, one, one)
-        else:
-            # t is the first summand of t + t, an even-rank base object
-            bp = self.target.biproduct(t, t)
-            host = self.pair(self.base.object(2 * t.payload.ngens), (bp.inj1 @ bp.proj1).matrix)
-            data = SplitData(t, bp.inj1.matrix, bp.proj1.matrix)
-        self._splits[host.payload] = data
-        return host
+            return self.embed(t)
+        # t is the first summand of t + t, an even-rank base object
+        bp = self.target.biproduct(t, t)
+        return self.pair(self.base.object(2 * t.payload.ngens), (bp.inj1 @ bp.proj1).matrix)
 
     def from_target(self, g: MorphismHandle, dom: ObjectHandle,
                     cod: ObjectHandle) -> MorphismHandle:
@@ -220,9 +219,6 @@ class CompletedModel(ExactStructureModel):
         return self._lift(cover, cod=a)
 
     # -- generators -----------------------------------------------------------
-
-    def _rand_matrix(self, rng: random.Random, rows: int, cols: int, bound: int):
-        return self.base._rand_matrix(rng, rows, cols, bound)
 
     def random_object(self, rng: random.Random, bounds: GenBounds) -> ObjectHandle:
         host, p = self.base.random_split_pair(rng, bounds)
@@ -395,7 +391,7 @@ def retraction_kernel_probe(r: MorphismHandle, s: MorphismHandle) -> RetractionS
 
     Requires r s = 1 and a kernel of r in the model; produces t with the
     four identities t k = 1, t s = 0, r s = 1, k t + s r = 1.  A missing
-    kernel raises KernelAbsent: the model is not weakly idempotent
+    kernel raises ObjectAbsent: the model is not weakly idempotent
     complete at this instance.
     """
     model = r.model
@@ -403,7 +399,7 @@ def retraction_kernel_probe(r: MorphismHandle, s: MorphismHandle) -> RetractionS
         raise PreconditionError("r s = 1 fails: not a retraction/section pair")
     k = model.kernel(r)
     if k is None:
-        raise KernelAbsent("the retraction has no kernel in this model")
+        raise ObjectAbsent("the retraction has no kernel in this model")
     one_b = model.identity(r.dom)
     t = model.solve_right_factor(k, one_b - (s @ r))
     if t is None:

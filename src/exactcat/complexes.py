@@ -506,7 +506,6 @@ def factor_through_cone(f: ChainMap, g: ChainMap, h: ChainHomotopy) -> ChainMap:
     With h witnessing g o f = d h + h d, the components (h^{n+1}, g^n)
     define a chain map cone(f) -> C with phi o i_f = g.
     """
-    model = f.model
     if h.source is not f.source and h.source.window != f.source.window:
         raise PreconditionError("homotopy does not match the composite g o f")
     data = mapping_cone_data(f)

@@ -203,7 +203,6 @@ def _check_row_squares(grid: Grid3x3, upper: int, lower: int) -> None:
     ru, rl = grid.rows[upper], grid.rows[lower]
     if ru is None or rl is None:
         return
-    fa = [ca, cb, cc]
     steps = {(0, 1): lambda col: col.i, (1, 2): lambda col: col.p}
     sel = steps[(upper, lower)]
     if not (sel(cb) @ ru[0]).same_as(rl[0] @ sel(ca)):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .completion import CompletedModel, CompletionObject, complete
-from .complexes import ChainComplex, chain_complex
+from .complexes import ChainComplex, ChainMap, chain_complex
 from .diagrams import SesMorphism, ses_morphism
 from .intlinalg import IntMatrix
 from .kernel import (
@@ -176,6 +176,13 @@ def jsonable(value, names: Optional[dict] = None):
                 "target": jsonable(value.target, names),
                 "a": jsonable(value.a, names), "b": jsonable(value.b, names),
                 "c": jsonable(value.c, names)}
+    if isinstance(value, ChainComplex):
+        return {"lo": value.lo, "components": jsonable(value.components, names),
+                "differentials": jsonable(value.differentials, names)}
+    if isinstance(value, ChainMap):
+        return {"source": jsonable(value.source, names),
+                "target": jsonable(value.target, names),
+                "comps": jsonable(value.comps, names)}
     if isinstance(value, dict):
         return {str(k): jsonable(v, names) for k, v in sorted(value.items(),
                                                               key=lambda kv: str(kv[0]))}

@@ -105,7 +105,7 @@ def _drop_generator_candidates(instance: dict):
     for val in instance.values():
         if isinstance(val, MorphismHandle):
             for ob in (val.dom, val.cod):
-                if ob not in objects and getattr(ob.payload, "ngens", 0) > 0:
+                if ob not in objects and ob.model.presented and ob.payload.ngens > 0:
                     objects.append(ob)
     for ob in objects:
         model = ob.model
@@ -210,24 +210,22 @@ def run_law(law_id: str, model: ExactStructureModel, cfg: LawConfig,
         except ExactCatError as exc:
             return False, f"{type(exc).__name__}: {exc}"
 
-    for idx, inst in enumerate(edges):
+    def instances():
+        # lazily, so each instance is generated after the previous is checked
+        for idx, inst in enumerate(edges):
+            yield "edge", idx, inst
+        for k in range(cfg.iterations):
+            inst = generate(_iter_rng(cfg, law_id, k))
+            if inst is not None:
+                yield "iteration", k, inst
+
+    for kind, idx, inst in instances():
         count += 1
         ok, err = verdict(inst)
         if ok is False:
-            record = {"edge": idx, "witness": jsonable(inst)}
-            if err:
-                record["error"] = err
-            failures.append(record)
-    for k in range(cfg.iterations):
-        rng = _iter_rng(cfg, law_id, k)
-        inst = generate(rng)
-        if inst is None:
-            continue
-        count += 1
-        ok, err = verdict(inst)
-        if ok is False:
-            shrunk = _shrink(inst, lambda i: verdict(i)[0], cfg.shrink_budget)
-            record = {"iteration": k, "witness": jsonable(shrunk)}
+            if kind == "iteration":   # a fixed edge instance is reported as given
+                inst = _shrink(inst, lambda i: verdict(i)[0], cfg.shrink_budget)
+            record = {kind: idx, "witness": jsonable(inst)}
             if err:
                 record["error"] = err
             failures.append(record)
@@ -249,20 +247,36 @@ def _edge_objects(model: ExactStructureModel) -> list:
     return objs
 
 
-def _identity_ses(model, a) -> ShortExactSequence:
-    z = model.zero_object()
-    return ShortExactSequence(model.zero_morphism(z, a), model.identity(a))
-
-
 def _edge_sequences(model) -> list[ShortExactSequence]:
     out = []
-    for a in _edge_objects(model):
-        out.append(_identity_ses(model, a))
-        out.append(ShortExactSequence(model.identity(a),
-                                      model.zero_morphism(a, model.zero_object())))
-    bp = model.biproduct(_edge_objects(model)[1], _edge_objects(model)[2])
+    objs = _edge_objects(model)
+    z = model.zero_object()
+    for a in objs:
+        out.append(ShortExactSequence(model.zero_morphism(z, a), model.identity(a)))
+        out.append(ShortExactSequence(model.identity(a), model.zero_morphism(a, z)))
+    bp = model.biproduct(objs[1], objs[2])
     out.append(ShortExactSequence(bp.inj1, bp.proj2))
     return out
+
+
+def _direct_sum(model, f: MorphismHandle, g: MorphismHandle) -> MorphismHandle:
+    """f + g : A + C -> B + D for f : A -> B and g : C -> D."""
+    src = model.biproduct(f.dom, g.dom)
+    dst = model.biproduct(f.cod, g.cod)
+    return (dst.inj1 @ f @ src.proj1) + (dst.inj2 @ g @ src.proj2)
+
+
+def _composable_monics(model: ExactStructureModel, rng: random.Random,
+                       bounds: GenBounds) -> dict:
+    a = model.random_object(rng, bounds)
+    i1 = model.random_admissible_monic_from(rng, a, bounds)
+    return {"i1": i1, "i2": model.random_admissible_monic_from(rng, i1.cod, bounds)}
+
+
+def _composable_epics(model: ExactStructureModel, rng: random.Random,
+                      bounds: GenBounds, b) -> dict:
+    e1 = model.random_admissible_epic_onto(rng, b, bounds)
+    return {"e1": e1, "e2": model.random_admissible_epic_onto(rng, e1.dom, bounds)}
 
 
 # -- axiom suite --------------------------------------------------------------
@@ -285,24 +299,13 @@ def check_axioms(model: ExactStructureModel, cfg: LawConfig) -> LawReport:
         lambda inst: model.is_admissible_epic(model.identity(inst["a"])),
         edges=[{"a": o} for o in _edge_objects(model)]))
 
-    def gen_monics(rng):
-        a = model.random_object(rng, cfg.bounds)
-        i1 = model.random_admissible_monic_from(rng, a, cfg.bounds)
-        i2 = model.random_admissible_monic_from(rng, i1.cod, cfg.bounds)
-        return {"i1": i1, "i2": i2}
-
     subs.append(run_law(
-        "E1", model, cfg, gen_monics,
+        "E1", model, cfg, lambda rng: _composable_monics(model, rng, cfg.bounds),
         lambda inst: model.is_admissible_monic(inst["i2"] @ inst["i1"])))
-
-    def gen_epics(rng):
-        b = model.random_object(rng, cfg.bounds)
-        e1 = model.random_admissible_epic_onto(rng, b, cfg.bounds)
-        e2 = model.random_admissible_epic_onto(rng, e1.dom, cfg.bounds)
-        return {"e1": e1, "e2": e2}
-
     subs.append(run_law(
-        "E1op", model, cfg, gen_epics,
+        "E1op", model, cfg,
+        lambda rng: _composable_epics(model, rng, cfg.bounds,
+                                      model.random_object(rng, cfg.bounds)),
         lambda inst: model.is_admissible_epic(inst["e1"] @ inst["e2"])))
 
     def gen_pushout(rng):
@@ -384,18 +387,30 @@ def check_axioms(model: ExactStructureModel, cfg: LawConfig) -> LawReport:
 # -- individual lemma suites ---------------------------------------------------
 
 
+def _obscure_instance(model: ExactStructureModel, rng: random.Random,
+                      bounds: GenBounds) -> dict:
+    """i = (m; u) : A -> B + D and j = proj_B, so j i = m is an admissible monic."""
+    a = model.random_object(rng, bounds)
+    m = model.random_admissible_monic_from(rng, a, bounds)
+    d = model.random_object(rng, bounds)
+    u = model.random_morphism(rng, a, d)
+    bp = model.biproduct(m.cod, d)
+    return {"i": (bp.inj1 @ m) + (bp.inj2 @ u), "j": bp.proj1, "m": m}
+
+
+def _cancellation_instance(model: ExactStructureModel, rng: random.Random,
+                           bounds: GenBounds) -> dict:
+    """f = t inj1 and g = h proj1 t^-1 for a shear t of A + D, so g f = h
+    is an admissible epic."""
+    b = model.random_object(rng, bounds)
+    h = model.random_admissible_epic_onto(rng, b, bounds)
+    bp = model.biproduct(h.dom, model.random_object(rng, bounds))
+    t, tinv = model._random_shear_pair(rng, bp)
+    return {"f": t @ bp.inj1, "g": (h @ bp.proj1) @ tinv, "h": h}
+
+
 def check_obscure(model: ExactStructureModel, cfg: LawConfig) -> LawReport:
     """If i has a cokernel and j i is an admissible monic then i is one."""
-
-    def gen(rng):
-        a = model.random_object(rng, cfg.bounds)
-        m = model.random_admissible_monic_from(rng, a, cfg.bounds)
-        d = model.random_object(rng, cfg.bounds)
-        u = model.random_morphism(rng, a, d)
-        bp = model.biproduct(m.cod, d)
-        i = (bp.inj1 @ m) + (bp.inj2 @ u)
-        j = bp.proj1
-        return {"i": i, "j": j, "m": m}
 
     def check(inst):
         i, j, m = inst["i"], inst["j"], inst["m"]
@@ -409,7 +424,9 @@ def check_obscure(model: ExactStructureModel, cfg: LawConfig) -> LawReport:
     for a in _edge_objects(model):
         one = model.identity(a)
         edges.append({"i": one, "j": one, "m": one})
-    return run_law("obscure", model, cfg, gen, check, edges=edges)
+    return run_law("obscure", model, cfg,
+                   lambda rng: _obscure_instance(model, rng, cfg.bounds), check,
+                   edges=edges)
 
 
 def check_pullback_monic(model: ExactStructureModel, cfg: LawConfig) -> LawReport:
@@ -437,14 +454,6 @@ def check_pullback_monic(model: ExactStructureModel, cfg: LawConfig) -> LawRepor
 def check_summands(model: ExactStructureModel, cfg: LawConfig) -> LawReport:
     """If the direct sum of two composable pairs is short exact, so are both."""
 
-    def direct_sum(s1, s2):
-        bsub = model.biproduct(s1.i.dom, s2.i.dom)
-        bmid = model.biproduct(s1.i.cod, s2.i.cod)
-        bquot = model.biproduct(s1.p.cod, s2.p.cod)
-        i = (bmid.inj1 @ s1.i @ bsub.proj1) + (bmid.inj2 @ s2.i @ bsub.proj2)
-        p = (bquot.inj1 @ s1.p @ bmid.proj1) + (bquot.inj2 @ s2.p @ bmid.proj2)
-        return i, p
-
     def gen(rng):
         s1 = model.random_ses(rng, cfg.bounds)
         if rng.random() < 0.5:
@@ -462,7 +471,7 @@ def check_summands(model: ExactStructureModel, cfg: LawConfig) -> LawReport:
     def check(inst):
         s1 = ShortExactSequence(inst["s1i"], inst["s1p"])
         s2 = ShortExactSequence(inst["s2i"], inst["s2p"])
-        i, p = direct_sum(s1, s2)
+        i, p = _direct_sum(model, s1.i, s2.i), _direct_sum(model, s1.p, s2.p)
         if not model.is_short_exact(i, p):
             return True   # the hypothesis of the law is not met
         return model.is_short_exact(s1.i, s1.p) and \
@@ -478,6 +487,15 @@ def check_five(model: ExactStructureModel, cfg: LawConfig) -> LawReport:
     the admissible-monic and admissible-epic variants."""
     subs = []
 
+    def holds_under(*hypotheses):
+        def check(inst):
+            m = ses_morphism(ShortExactSequence(inst["src_i"], inst["src_p"]),
+                             ShortExactSequence(inst["tgt_i"], inst["tgt_p"]),
+                             inst["a"], inst["b"], inst["c"])
+            v = five_lemma_verify(m)
+            return v.holds and v.hypothesis in hypotheses
+        return check
+
     def gen_iso(rng):
         s = model.random_ses(rng, cfg.bounds)
         a = model.random_automorphism(rng, s.sub)
@@ -492,14 +510,7 @@ def check_five(model: ExactStructureModel, cfg: LawConfig) -> LawReport:
         return {"src_i": s.i, "src_p": s.p, "tgt_i": tgt.i, "tgt_p": tgt.p,
                 "a": a, "b": po.map, "c": cbar}
 
-    def check_iso(inst):
-        m = ses_morphism(ShortExactSequence(inst["src_i"], inst["src_p"]),
-                         ShortExactSequence(inst["tgt_i"], inst["tgt_p"]),
-                         inst["a"], inst["b"], inst["c"])
-        v = five_lemma_verify(m)
-        return v.hypothesis == "isomorphisms" and v.holds
-
-    subs.append(run_law("five_iso", model, cfg, gen_iso, check_iso))
+    subs.append(run_law("five_iso", model, cfg, gen_iso, holds_under("isomorphisms")))
 
     # the restriction/quotient recipes need subobject machinery and all
     # kernels; they run on the abelian-style presented models
@@ -524,14 +535,8 @@ def check_five(model: ExactStructureModel, cfg: LawConfig) -> LawReport:
             return {"src_i": kappa, "src_p": src_p, "tgt_i": tgt.i,
                     "tgt_p": tgt.p, "a": a, "b": b0, "c": c}
 
-        def check_monic(inst):
-            m = ses_morphism(ShortExactSequence(inst["src_i"], inst["src_p"]),
-                             ShortExactSequence(inst["tgt_i"], inst["tgt_p"]),
-                             inst["a"], inst["b"], inst["c"])
-            v = five_lemma_verify(m)
-            return v.holds and v.hypothesis in ("monics", "isomorphisms")
-
-        subs.append(run_law("five_monic", model, cfg, gen_monic, check_monic))
+        subs.append(run_law("five_monic", model, cfg, gen_monic,
+                            holds_under("monics", "isomorphisms")))
 
         def gen_epic(rng):
             src = model.random_ses(rng, cfg.bounds)
@@ -548,14 +553,8 @@ def check_five(model: ExactStructureModel, cfg: LawConfig) -> LawReport:
                     "tgt_p": newp, "a": a, "b": b,
                     "c": model.identity(src.quot)}
 
-        def check_epic(inst):
-            m = ses_morphism(ShortExactSequence(inst["src_i"], inst["src_p"]),
-                             ShortExactSequence(inst["tgt_i"], inst["tgt_p"]),
-                             inst["a"], inst["b"], inst["c"])
-            v = five_lemma_verify(m)
-            return v.holds and v.hypothesis in ("epics", "isomorphisms")
-
-        subs.append(run_law("five_epic", model, cfg, gen_epic, check_epic))
+        subs.append(run_law("five_epic", model, cfg, gen_epic,
+                            holds_under("epics", "isomorphisms")))
     return _merge("five", model, cfg, subs)
 
 
@@ -564,23 +563,14 @@ def check_cancellation(model: ExactStructureModel, cfg: LawConfig) -> LawReport:
     if not model.weakly_idempotent_complete:
         raise PreconditionError("cancellation testing requires a WIC model")
 
-    def gen(rng):
-        b = model.random_object(rng, cfg.bounds)
-        h = model.random_admissible_epic_onto(rng, b, cfg.bounds)
-        a = h.dom
-        bp = model.biproduct(a, model.random_object(rng, cfg.bounds))
-        t, tinv = model._random_shear_pair(rng, bp)
-        f = t @ bp.inj1
-        g = (h @ bp.proj1) @ tinv
-        return {"f": f, "g": g, "h": h}
-
     def check(inst):
         f, g = inst["f"], inst["g"]
         if not model.is_admissible_epic(g @ f):
             return True
         return model.is_admissible_epic(g)
 
-    return run_law("cancellation", model, cfg, gen, check)
+    return run_law("cancellation", model, cfg,
+                   lambda rng: _cancellation_instance(model, rng, cfg.bounds), check)
 
 
 def _spliced_acyclic(model, rng, bounds: GenBounds, length: int = 3):
@@ -647,16 +637,11 @@ def check_nh_acyclic(model: ExactStructureModel, cfg: LawConfig) -> LawReport:
             pieces.append(mapping_cone(identity_chain_map(a)))
         lo = min(c.lo for c in pieces)
         hi = max(c.hi for c in pieces)
-        comps, diffs = [], []
-        bps = []
-        for n in range(lo, hi + 1):
-            bp = model.biproduct(pieces[0].component(n), pieces[1].component(n))
-            bps.append(bp)
-            comps.append(bp.ob)
-        for n in range(lo, hi):
-            b0, b1 = bps[n - lo], bps[n + 1 - lo]
-            diffs.append((b1.inj1 @ pieces[0].differential(n) @ b0.proj1) +
-                         (b1.inj2 @ pieces[1].differential(n) @ b0.proj2))
+        c0, c1 = pieces
+        comps = [model.biproduct(c0.component(n), c1.component(n)).ob
+                 for n in range(lo, hi + 1)]
+        diffs = [_direct_sum(model, c0.differential(n), c1.differential(n))
+                 for n in range(lo, hi)]
         return {"x": chain_complex(model, lo, comps, diffs)}
 
     def check_bounded(inst):
@@ -700,12 +685,9 @@ def check_heller(model: ExactStructureModel, cfg: LawConfig) -> LawReport:
         edges=[{"a": o} for o in _edge_objects(model)]))
 
     def gen_comp(rng):
-        a = model.random_object(rng, cfg.bounds)
-        i1 = model.random_admissible_monic_from(rng, a, cfg.bounds)
-        i2 = model.random_admissible_monic_from(rng, i1.cod, cfg.bounds)
-        e1 = model.random_admissible_epic_onto(rng, a, cfg.bounds)
-        e2 = model.random_admissible_epic_onto(rng, e1.dom, cfg.bounds)
-        return {"i1": i1, "i2": i2, "e1": e1, "e2": e2}
+        # an [E1] and an [E1op] instance on one object
+        monics = _composable_monics(model, rng, cfg.bounds)
+        return {**monics, **_composable_epics(model, rng, cfg.bounds, monics["i1"].dom)}
 
     subs.append(run_law(
         "heller_ii", model, cfg, gen_comp,
@@ -713,20 +695,10 @@ def check_heller(model: ExactStructureModel, cfg: LawConfig) -> LawReport:
         model.is_admissible_epic(inst["e1"] @ inst["e2"])))
 
     def gen_cancel(rng):
-        a = model.random_object(rng, cfg.bounds)
-        m = model.random_admissible_monic_from(rng, a, cfg.bounds)
-        d = model.random_object(rng, cfg.bounds)
-        u = model.random_morphism(rng, a, d)
-        bp = model.biproduct(m.cod, d)
-        f = (bp.inj1 @ m) + (bp.inj2 @ u)
-        j = bp.proj1
-        b = model.random_object(rng, cfg.bounds)
-        h = model.random_admissible_epic_onto(rng, b, cfg.bounds)
-        bp2 = model.biproduct(h.dom, model.random_object(rng, cfg.bounds))
-        t, tinv = model._random_shear_pair(rng, bp2)
-        fe = t @ bp2.inj1
-        ge = (h @ bp2.proj1) @ tinv
-        return {"f": f, "j": j, "fe": fe, "ge": ge}
+        # one obscure-axiom instance, then one cancellation instance
+        mono = _obscure_instance(model, rng, cfg.bounds)
+        epi = _cancellation_instance(model, rng, cfg.bounds)
+        return {"f": mono["i"], "j": mono["j"], "fe": epi["f"], "ge": epi["g"]}
 
     def check_cancel(inst):
         ok_mono = True
@@ -759,10 +731,8 @@ def check_heller(model: ExactStructureModel, cfg: LawConfig) -> LawReport:
         b = t_mid @ bp_mid.inj1
         c = t_quot @ bp_quot.inj1
         # target sequence on the padded objects: (src.i + pad-inj, src.p + pad-proj)
-        i2 = (bp_mid.inj1 @ src.i @ bp_sub.proj1) + \
-             (bp_mid.inj2 @ pad_mid.inj1 @ bp_sub.proj2)
-        p2 = (bp_quot.inj1 @ src.p @ bp_mid.proj1) + \
-             (bp_quot.inj2 @ pad_mid.proj2 @ bp_mid.proj2)
+        i2 = _direct_sum(model, src.i, pad_mid.inj1)
+        p2 = _direct_sum(model, src.p, pad_mid.proj2)
         i_big = t_mid @ i2 @ tinv_sub
         p_big = t_quot @ p2 @ tinv_mid
         return {"r1i": src.i, "r1p": src.p, "r2i": i_big, "r2p": p_big,

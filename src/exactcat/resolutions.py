@@ -302,7 +302,6 @@ def projective_replacement(x: ChainComplex, max_extra: int = 8,
             raise InternalCheckError("projective replacement did not terminate")
         p_prime = cover(b_cur)
         p_primes.append(p_prime)
-        a_next = x.component(hi - n - 1)
         pb = pullback_along_epic(p_prime, p_second)
         i_primes.append(pb.map)        # B_{n+1} -> P_n
         i_seconds.append(pb.epic)      # B_{n+1} ->> A_{n+1}

@@ -1,7 +1,11 @@
+import json
 import random
+import subprocess
+import sys
 
 import pytest
 
+from exactcat import completion
 from exactcat.completion import (
     CompletedModel,
     ComposedFunctor,
@@ -299,14 +303,16 @@ def test_completion_summand_closure():
 def test_split_data_matches_per_base_formulas(base):
     # _split goes through the target model alone; on a free host that is the
     # column Hermite basis of p with a column solve, otherwise the base's
-    # image subobject with its retraction
+    # image subobject with its retraction, except that (A, 1) splits as A
     model = CompletedModel(base)
     rng = random.Random(81)
     objs = [model.zero_object()] + [model.random_object(rng, B) for _ in range(30)]
     objs += [model.embed(base.random_object(rng, B)) for _ in range(5)]
     for a in objs:
         host, p = a.payload.base, a.payload.idem
-        if base.idempotent_complete:
+        if base.idempotent_complete and p == IntMatrix.identity(p.rows):
+            target, monic, retract = host, p, p
+        elif base.idempotent_complete:
             pm = base.morphism(host, host, p, check=False)
             mono = base.subobject(host, base._image_lattice(pm))
             target, monic = mono.dom, mono.matrix
@@ -317,6 +323,69 @@ def test_split_data_matches_per_base_formulas(base):
             retract = solve_columns_mod_lattice(monic, p, IntMatrix.zeros(p.rows, 0))
         got = model._split(a)
         assert (got.target, got.monic, got.retract) == (target, monic, retract), a
+
+
+
+def _fields(data):
+    return (data.target, data.monic, data.retract)
+
+
+def test_identity_pair_splits_as_itself_in_any_order():
+    # (A, 1) splits as (A, 1, 1) whether _split runs before or after
+    # embed_target or _lift; the zero object with three zero relations is
+    # not the canonical zero that its image lattice would present
+    base = fgab_split()
+    rng = random.Random(5)
+    objs = [base.object(0, IntMatrix.zeros(0, 3))]
+    objs += [base.random_object(rng, B) for _ in range(6)]
+    for a in objs:
+        one = IntMatrix.identity(a.payload.ngens)
+        first = CompletedModel(base)
+        before = _fields(first._split(first.embed(a)))
+        first.embed_target(a)
+        second = CompletedModel(base)
+        second._lift(base.identity(a))
+        third = CompletedModel(base)
+        third.embed_target(a)
+        for m in (first, second, third):
+            assert _fields(m._split(m.embed(a))) == before == (a, one, one)
+
+
+@pytest.mark.parametrize("base", [even_rank_split(), fgab_split()],
+                         ids=lambda m: m.model_id)
+def test_embed_target_writes_no_splitting(base):
+    model = CompletedModel(base)
+    rng = random.Random(9)
+    for _ in range(8):
+        t = model.target.random_object(rng, B)
+        before = dict(model._splits)
+        host = model.embed_target(t)
+        assert model._splits == before
+        # the image rule recovers t as the split of its host
+        assert model._split(host).target == t
+
+
+def test_splits_cache_is_bounded_and_recomputes_evicted_pairs(monkeypatch):
+    monkeypatch.setattr(completion, "CACHE_SIZE", 4)
+    model = CompletedModel(even_rank_split())
+    rng = random.Random(3)
+    objs = [model.random_object(rng, B) for _ in range(12)]
+    first = [_fields(model._split(a)) for a in objs]
+    assert len(model._splits) <= 4
+    assert objs[0].payload not in model._splits
+    assert [_fields(model._split(a)) for a in objs] == first
+    assert len(model._splits) <= 4
+
+
+@pytest.mark.parametrize("seed", ["6", "10"])
+def test_check_completion_fgab_split_passes(seed):
+    proc = subprocess.run(
+        [sys.executable, "-m", "exactcat.cli", "--json", "check", "--model",
+         "completion:fgab_split", "--suite", "all", "--iters", "4",
+         "--max-gens", "3", "--seed", seed],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["passed"] is True
 
 
 # -- transport through the target model, against the per-method path -------

@@ -1,8 +1,13 @@
+import json
+import subprocess
+import sys
+
 import pytest
 
+from exactcat import laws
 from exactcat.completion import complete
+from exactcat.documents import jsonable, parse_model_name
 from exactcat.intlinalg import IntMatrix
-from exactcat.documents import parse_model_name
 from exactcat.kernel import GenBounds, PreconditionError
 from exactcat.laws import (
     LawConfig,
@@ -251,3 +256,94 @@ def test_shrink_skips_ill_shaped_candidates_but_propagates_bugs():
 
     with pytest.raises(TypeError, match="a bug in the predicate"):
         _shrink(inst, buggy, 50)
+
+
+def _inline_heller_iii_instance(model, rng, bounds):
+    # the inline generator heller_iii had before it drew one obscure-axiom
+    # and one cancellation instance; kept as the oracle for that refactor
+    a = model.random_object(rng, bounds)
+    m = model.random_admissible_monic_from(rng, a, bounds)
+    d = model.random_object(rng, bounds)
+    u = model.random_morphism(rng, a, d)
+    bp = model.biproduct(m.cod, d)
+    f = (bp.inj1 @ m) + (bp.inj2 @ u)
+    j = bp.proj1
+    b = model.random_object(rng, bounds)
+    h = model.random_admissible_epic_onto(rng, b, bounds)
+    bp2 = model.biproduct(h.dom, model.random_object(rng, bounds))
+    t, tinv = model._random_shear_pair(rng, bp2)
+    fe = t @ bp2.inj1
+    ge = (h @ bp2.proj1) @ tinv
+    return {"f": f, "j": j, "fe": fe, "ge": ge}
+
+
+@pytest.mark.parametrize("model", [fgab(), fgab_split(), even_rank_split(),
+                                   complete(even_rank_split())],
+                         ids=lambda m: m.model_id)
+def test_heller_iii_instances_match_inline_oracle(model, monkeypatch):
+    generators = {}
+    run_law = laws.run_law
+
+    def capture(law_id, model, cfg, generate, predicate, edges=()):
+        generators[law_id] = generate
+        return run_law(law_id, model, cfg, generate, predicate, edges)
+
+    monkeypatch.setattr(laws, "run_law", capture)
+    cfg = LawConfig(seed=3, iterations=6, bounds=GenBounds(max_gens=3))
+    check_heller(model, cfg)
+    for k in range(cfg.iterations):
+        got = generators["heller_iii"](laws._iter_rng(cfg, "heller_iii", k))
+        want = _inline_heller_iii_instance(
+            model, laws._iter_rng(cfg, "heller_iii", k), cfg.bounds)
+        assert list(got) == list(want)
+        assert jsonable(got) == jsonable(want)
+
+
+def test_failure_records_by_instance_kind():
+    # an edge failure is recorded as given, an iteration failure shrunk, and
+    # "error" appears only when the check raised
+    m = fgab()
+    a = cyclic(0)
+
+    def inst(x):
+        return {"f": m.morphism(a, a, IntMatrix.from_rows([[x]]), check=False)}
+
+    def pred(i):
+        x = i["f"].matrix.entries[0][0]
+        if x == 7:
+            raise PreconditionError("seven")
+        return x == 0
+
+    rep = laws.run_law("records", m, LawConfig(seed=0, iterations=1),
+                       lambda rng: inst(6), pred, edges=[inst(6), inst(7), inst(0)])
+    assert rep.instances_run == 4
+    assert [sorted(r) for r in rep.failures] == [
+        ["edge", "witness"], ["edge", "error", "witness"], ["iteration", "witness"]]
+    assert [(r.get("edge"), r.get("iteration")) for r in rep.failures] == [
+        (0, None), (1, None), (None, 0)]
+    assert [r["witness"]["f"]["matrix"]["entries"] for r in rep.failures] == [
+        [[6]], [[7]], [[1]]]
+    assert rep.failures[1]["error"] == "PreconditionError: seven"
+
+
+_ENCODE_COMPLEXES = """
+import json
+from exactcat.complexes import identity_chain_map, mapping_cone, object_as_complex
+from exactcat.documents import jsonable
+from exactcat.models import cyclic
+f = identity_chain_map(mapping_cone(identity_chain_map(object_as_complex(cyclic(2)))))
+print(json.dumps(jsonable({"f": f, "x": f.source}), sort_keys=True))
+"""
+
+
+def test_complex_witnesses_encode_identically_across_processes():
+    outs = [subprocess.run([sys.executable, "-c", _ENCODE_COMPLEXES],
+                           capture_output=True, text=True, check=True).stdout
+            for _ in range(2)]
+    assert outs[0] == outs[1]
+    assert "0x" not in outs[0]
+    enc = json.loads(outs[0])
+    assert set(enc["f"]) == {"source", "target", "comps"}
+    assert enc["f"]["source"] == enc["x"]
+    assert set(enc["x"]) == {"lo", "components", "differentials"}
+    assert len(enc["x"]["components"]) == len(enc["x"]["differentials"]) + 1
