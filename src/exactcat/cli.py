@@ -39,11 +39,18 @@ def _invariants_json(inv) -> dict:
     return {"free_rank": inv.free_rank, "torsion": list(inv.torsion_factors)}
 
 
+def _require_nonnegative(name: str, value: int) -> None:
+    if value < 0:
+        raise PreconditionError(f"{name} must be >= 0, got {value}")
+
+
 # -- commands -----------------------------------------------------------------
 
 
 def cmd_check(model_name: str, seed: int, iters: int, max_gens: int,
               suite: str) -> tuple[dict, int]:
+    _require_nonnegative("--iters", iters)
+    _require_nonnegative("--max-gens", max_gens)
     model = parse_model_name(model_name)
     cfg = LawConfig(seed=seed, iterations=iters,
                     bounds=GenBounds(max_gens=max_gens))
@@ -83,6 +90,7 @@ def cmd_resolve(doc: Document, name: str, max_length: int) -> tuple[dict, int]:
 
 
 def cmd_ext(m: int, n: int, i: int) -> tuple[dict, int]:
+    _require_nonnegative("the degree i", i)
     values = derived(FunctorSpec("hom_into", cyclic(n)), cyclic(m),
                      max_degree=i).values
     inv = iso_invariants(values[i])
@@ -91,6 +99,7 @@ def cmd_ext(m: int, n: int, i: int) -> tuple[dict, int]:
 
 
 def cmd_tor(m: int, n: int, i: int) -> tuple[dict, int]:
+    _require_nonnegative("the degree i", i)
     values = derived(FunctorSpec("tensor", cyclic(n)), cyclic(m),
                      max_degree=i).values
     inv = iso_invariants(values[i])

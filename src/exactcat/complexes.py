@@ -9,9 +9,11 @@ A^{n+1} + B^n with differential (-d_A, 0; f, d_B).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
+from .diagrams import SesMorphism, _factor_through_pushout
 from .intlinalg import IntMatrix, preimage_basis, solve_columns_mod_lattice
 from .kernel import (
     Analysis,
@@ -23,7 +25,6 @@ from .kernel import (
     PreconditionError,
     ShortExactSequence,
     is_short_exact,
-    pushout_along_monic,
 )
 
 
@@ -97,23 +98,20 @@ class ChainMap:
         return self.model.zero_morphism(self.source.component(n),
                                         self.target.component(n))
 
-    def __matmul__(self, other: "ChainMap") -> "ChainMap":
+    def _degreewise(self, op, other: "ChainMap", source: ChainComplex) -> "ChainMap":
         degs = set(self.comps) | set(other.comps)
-        return chain_map(other.source, self.target,
-                         {n: self.component(n) @ other.component(n) for n in degs},
+        return chain_map(source, self.target,
+                         {n: op(self.component(n), other.component(n)) for n in degs},
                          check=False)
+
+    def __matmul__(self, other: "ChainMap") -> "ChainMap":
+        return self._degreewise(operator.matmul, other, other.source)
 
     def __add__(self, other: "ChainMap") -> "ChainMap":
-        degs = set(self.comps) | set(other.comps)
-        return chain_map(self.source, self.target,
-                         {n: self.component(n) + other.component(n) for n in degs},
-                         check=False)
+        return self._degreewise(operator.add, other, self.source)
 
     def __sub__(self, other: "ChainMap") -> "ChainMap":
-        degs = set(self.comps) | set(other.comps)
-        return chain_map(self.source, self.target,
-                         {n: self.component(n) - other.component(n) for n in degs},
-                         check=False)
+        return self._degreewise(operator.sub, other, self.source)
 
     def same_as(self, other: "ChainMap") -> bool:
         degs = set(self.comps) | set(other.comps)
@@ -305,6 +303,37 @@ class AcyclicityCertificate:
     def z_object(self, n: int) -> ObjectHandle:
         return self.z_objects.get(n, self.complex.model.zero_object())
 
+    def monic(self, n: int) -> MorphismHandle:
+        """Z^n >-> A^n; the zero arrow outside the window."""
+        if n in self.monics:
+            return self.monics[n]
+        return self.complex.model.zero_morphism(self.z_object(n), self.complex.component(n))
+
+    def epic(self, n: int) -> MorphismHandle:
+        """A^{n-1} ->> Z^n; the zero arrow outside the window."""
+        if n in self.epics:
+            return self.epics[n]
+        return self.complex.model.zero_morphism(self.complex.component(n - 1),
+                                                self.z_object(n))
+
+
+def _spliced(differentials: Sequence[MorphismHandle]) -> Optional[list[Analysis]]:
+    """Analyses of consecutive differentials when they splice exactly, or None.
+
+    Each differential must be admissible, and at every joint the image
+    monic of one with the coimage epic of the next must be short exact.
+    """
+    analyses = []
+    for d in differentials:
+        an = d.model.analyze(d)
+        if an is None:
+            return None
+        analyses.append(an)
+    for prev, an in zip(analyses, analyses[1:]):
+        if not is_short_exact(prev.image_monic, an.coimage_epic):
+            return None
+    return analyses
+
 
 def is_acyclic(x: ChainComplex) -> Optional[AcyclicityCertificate]:
     """Certificate of acyclicity, or None.
@@ -314,23 +343,15 @@ def is_acyclic(x: ChainComplex) -> Optional[AcyclicityCertificate]:
     form a short exact sequence, including at the window boundary against
     the zero padding.
     """
-    model = x.model
-    analyses: dict[int, Analysis] = {}
-    for n in range(x.lo - 1, x.hi + 1):
-        an = model.analyze(x.differential(n))
-        if an is None:
-            return None
-        analyses[n] = an
-    zobj, epics, monics = {}, {}, {}
-    for n in range(x.lo, x.hi + 2):
-        an = analyses[n - 1]
-        zobj[n] = an.image_object
-        epics[n] = an.coimage_epic
-        monics[n] = an.image_monic
-    for n in range(x.lo, x.hi + 1):
-        if not is_short_exact(monics[n], analyses[n].coimage_epic):
-            return None
-    return AcyclicityCertificate(x, zobj, epics, monics)
+    analyses = _spliced([x.differential(n) for n in range(x.lo - 1, x.hi + 1)])
+    if analyses is None:
+        return None
+    # Z^n is the image of d^{n-1}
+    degrees = range(x.lo, x.hi + 2)
+    return AcyclicityCertificate(
+        x, {n: an.image_object for n, an in zip(degrees, analyses)},
+        {n: an.coimage_epic for n, an in zip(degrees, analyses)},
+        {n: an.image_monic for n, an in zip(degrees, analyses)})
 
 
 def homology(x: ChainComplex, n: int) -> ObjectHandle:
@@ -409,66 +430,35 @@ def check_cone_acyclic(f: ChainMap) -> ConeAcyclicityResult:
     cone = data.complex
     lo, hi = cone.lo, cone.hi
 
-    def ia(n):  # Z^n A >-> A^n
-        return cert_a.monics.get(n) or model.zero_morphism(
-            model.zero_object(), f.source.component(n))
+    # induced maps g^n : Z^n A -> Z^n B
+    g = {n: model.solve_right_factor(cert_b.monic(n), f.component(n) @ cert_a.monic(n))
+         for n in range(lo, hi + 3)}
+    if any(gn is None for gn in g.values()):
+        raise InternalCheckError("cycle map of the cone construction is missing")
 
-    def ja(n):  # A^n ->> Z^{n+1} A
-        return cert_a.epics.get(n + 1) or model.zero_morphism(
-            f.source.component(n), model.zero_object())
+    def splice(cert, n):  # Z^n >-> X^n ->> Z^{n+1}
+        return ShortExactSequence(cert.monic(n), cert.epic(n + 1))
 
-    def ib(n):
-        return cert_b.monics.get(n) or model.zero_morphism(
-            model.zero_object(), f.target.component(n))
-
-    def jb(n):
-        return cert_b.epics.get(n + 1) or model.zero_morphism(
-            f.target.component(n), model.zero_object())
-
-    # induced maps g^n : Z^n A -> Z^n B and the pushouts Z^n C
-    g = {}
-    zc = {}
-    kmono = {}   # Z^n B >-> Z^n C
-    fprime = {}  # A^n -> Z^n C
-    hsurj = {}   # Z^n C ->> Z^{n+1} A
-    fsecond = {}  # Z^n C -> B^n
-    extensions = {}
+    # Z^n C is the push-out of Z^n A >-> A^n along g^n (Prop. 3.1)
+    zobj, epics, monics, extensions = {}, {}, {}, {}
     for n in range(lo, hi + 2):
-        gn = model.solve_right_factor(ib(n), f.component(n) @ ia(n))
-        if gn is None:
-            raise InternalCheckError("cycle map of the cone construction is missing")
-        g[n] = gn
-        po = pushout_along_monic(ia(n), gn)
-        q, bp = po.cokernel_arrow, po.sum
-        zc[n] = po.ob
-        kmono[n] = po.monic
-        fprime[n] = po.map
-        h = model.solve_left_factor(q, ja(n) @ bp.proj1)
-        f2 = model.solve_left_factor(q, (f.component(n) @ bp.proj1) + (ib(n) @ bp.proj2))
-        if h is None or f2 is None:
-            raise InternalCheckError("cone Z-square maps are missing")
-        hsurj[n] = h
-        fsecond[n] = f2
-        extensions[n] = ShortExactSequence(kmono[n], h)
-        if not model.is_short_exact(kmono[n], h):
-            raise InternalCheckError("extension sequence Z^nB >-> Z^nC ->> Z^{n+1}A fails")
-
-    zobj, epics, monics = {}, {}, {}
-    for n in range(lo, hi + 2):
-        zobj[n] = zc[n]
+        po, h, fsecond = _factor_through_pushout(SesMorphism(
+            splice(cert_a, n), splice(cert_b, n), g[n], f.component(n), g[n + 1]))
+        zobj[n] = po.ob
+        extensions[n] = ShortExactSequence(po.monic, h)
         # epic cone^{n-1} ->> Z^n C with blocks (f'^n, k^n j_B^{n-1})
         bp = data.parts.get(n - 1)
         if bp is not None:
-            epics[n] = (fprime[n] @ bp.proj1) + (kmono[n] @ jb(n - 1) @ bp.proj2)
+            epics[n] = (po.map @ bp.proj1) + (po.monic @ cert_b.epic(n) @ bp.proj2)
         else:
-            epics[n] = model.zero_morphism(cone.component(n - 1), zc[n])
+            epics[n] = model.zero_morphism(cone.component(n - 1), po.ob)
         # monic Z^n C >-> cone^n with blocks (-i_A^{n+1} h^n ; f''^n)
-        bp2 = data.parts.get(n)
-        if bp2 is not None:
-            monics[n] = (bp2.inj1 @ model.negate(ia(n + 1) @ hsurj[n])) + \
-                (bp2.inj2 @ fsecond[n])
+        bp = data.parts.get(n)
+        if bp is not None:
+            monics[n] = (bp.inj1 @ model.negate(cert_a.monic(n + 1) @ h)) + \
+                (bp.inj2 @ fsecond)
         else:
-            monics[n] = model.zero_morphism(zc[n], cone.component(n))
+            monics[n] = model.zero_morphism(po.ob, cone.component(n))
     cert = AcyclicityCertificate(cone, zobj, epics, monics)
     for n in range(lo, hi + 1):
         d = cone.differential(n)
@@ -594,15 +584,6 @@ def periodic_null_homotopy(x: PeriodicComplex) -> dict[int, MorphismHandle]:
 
 def periodic_is_acyclic(x: PeriodicComplex) -> Optional[dict[int, Analysis]]:
     """Acyclicity certificate of the periodic complex (one per period slot)."""
-    model = x.model
-    analyses = {}
-    for j in range(x.period):
-        an = model.analyze(x.differentials[j])
-        if an is None:
-            return None
-        analyses[j] = an
-    for j in range(x.period):
-        prev = analyses[(j - 1) % x.period]
-        if not is_short_exact(prev.image_monic, analyses[j].coimage_epic):
-            return None
-    return analyses
+    d = x.differentials
+    analyses = _spliced(d[-1:] + d)   # the last slot closes the cycle
+    return None if analyses is None else dict(enumerate(analyses[1:]))

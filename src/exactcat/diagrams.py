@@ -118,6 +118,23 @@ class FactoredSesMorphism:
     pullback_iso: MorphismHandle    # canonical D -> (B x_C C')
 
 
+def _factor_through_pushout(m: SesMorphism) -> tuple[PushoutResult, MorphismHandle,
+                                                       MorphismHandle]:
+    """Prop. 3.1: the push-out D of f' along a, e: D ->> C' and b'': D -> B,
+    checked: A >-> D ->> C' is short exact, b'' b' = b and g b'' = c e."""
+    model = m.source.i.model
+    po = pushout_along_monic(m.source.i, m.a)
+    q, bp = po.cokernel_arrow, po.sum     # q: B' + A ->> D
+    e = model.solve_left_factor(q, m.source.p @ bp.proj1)
+    bsecond = model.solve_left_factor(q, (m.b @ bp.proj1) + (m.target.i @ bp.proj2))
+    _require(e is not None and bsecond is not None, "push-out row does not assemble")
+    _require(model.is_short_exact(po.monic, e), "middle push-out row is not short exact")
+    _require((bsecond @ po.map).same_as(m.b), "factorization through D does not recover b")
+    _require((m.target.p @ bsecond).same_as(m.c @ e),
+             "lower square through D does not commute")
+    return po, e, bsecond
+
+
 def factor_ses_morphism(m: SesMorphism) -> FactoredSesMorphism:
     """Factor a map of short exact sequences over a middle sequence.
 
@@ -127,32 +144,21 @@ def factor_ses_morphism(m: SesMorphism) -> FactoredSesMorphism:
     bicartesian.
     """
     model = m.source.i.model
-    fp, gp = m.source.i, m.source.p      # f': A' >-> B', g': B' ->> C'
     f, g = m.target.i, m.target.p        # f: A >-> B,  g: B ->> C
-    a, b, c = m.a, m.b, m.c
-    po = pushout_along_monic(fp, a)
-    q, bp = po.cokernel_arrow, po.sum     # q: B' + A ->> D
-    mono = po.monic                       # A >-> D
-    bprime = po.map                       # B' -> D
-    e = model.solve_left_factor(q, gp @ bp.proj1)
-    _require(e is not None, "middle epic of the factorization does not exist")
-    bsecond = model.solve_left_factor(q, (b @ bp.proj1) + (f @ bp.proj2))
-    _require(bsecond is not None, "map out of the middle does not exist")
-    middle = ses(mono, e)
-    _require((bsecond @ bprime).same_as(b), "factorization does not recover b")
+    po, e, bsecond = _factor_through_pushout(m)
+    mono, bprime = po.monic, po.map      # A >-> D,  B' -> D
     _require((bsecond @ mono).same_as(f), "middle monic does not map to f")
-    _require((g @ bsecond).same_as(c @ e), "lower right square does not commute")
-    _require(square_is_bicartesian(fp, a, bprime, mono),
+    _require(square_is_bicartesian(m.source.i, m.a, bprime, mono),
              "upper square is not bicartesian")
-    _require(square_is_bicartesian(e, bsecond, c, g),
+    _require(square_is_bicartesian(e, bsecond, m.c, g),
              "lower square is not bicartesian")
     # canonical comparison with the pull-back of (g, c)
-    pb = pullback_along_epic(g, c)
+    pb = pullback_along_epic(g, m.c)
     cone = (pb.sum.inj1 @ bsecond) + (pb.sum.inj2 @ e)
     iso = model.solve_right_factor(pb.kernel_arrow, cone)
     _require(iso is not None and model.is_iso(iso),
              "push-out does not agree with the pull-back")
-    return FactoredSesMorphism(middle, bprime, bsecond, po, iso)
+    return FactoredSesMorphism(ShortExactSequence(mono, e), bprime, bsecond, po, iso)
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,16 +356,9 @@ def snake(m: SesMorphism) -> SnakeResult:
     if not (b @ i_s).same_as(i_t @ a) or not (c @ p_s).same_as(p_t @ b):
         raise PreconditionError("the given squares do not commute")
 
-    po = pushout_along_monic(i_s, a)
+    po, e_d, b2 = _factor_through_pushout(m)
     q, bp = po.cokernel_arrow, po.sum
     f1 = po.map          # A -> D
-    i_d = po.monic       # B' >-> D
-    e_d = model.solve_left_factor(q, p_s @ bp.proj1)
-    b2 = model.solve_left_factor(q, (b @ bp.proj1) + (i_t @ bp.proj2))
-    _require(e_d is not None and b2 is not None, "push-out row does not assemble")
-    _require(model.is_short_exact(i_d, e_d), "middle push-out row is not short exact")
-    _require((b2 @ f1).same_as(b), "factorization through D does not recover b")
-    _require((p_t @ b2).same_as(c @ e_d), "lower square through D does not commute")
 
     kc = ker_coker_sequence(f1, b2)
     af1, ab2, _ = kc.analyses

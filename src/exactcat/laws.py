@@ -36,6 +36,7 @@ from .diagrams import five_lemma_verify, ses_morphism, square_is_bicartesian
 from .documents import jsonable
 from .intlinalg import IntMatrix
 from .kernel import (
+    ComposabilityError,
     ExactCatError,
     ExactStructureModel,
     GenBounds,
@@ -98,6 +99,10 @@ def _iter_rng(cfg: LawConfig, law_id: str, k: int) -> random.Random:
     return random.Random(f"{cfg.seed}:{law_id}:{k}")
 
 
+# what rebuilding an invalid candidate may raise; anything else is a bug
+_INVALID_CANDIDATE = (PreconditionError, ComposabilityError)
+
+
 def _drop_generator_candidates(instance: dict):
     """Rewrites of the whole instance with one generator of one object
     removed (relation row and every adjacent matrix row/column deleted)."""
@@ -114,7 +119,7 @@ def _drop_generator_candidates(instance: dict):
             keep = [i for i in range(n) if i != k]
             try:
                 small = model.object(n - 1, ob.payload.relations.take_rows(keep))
-            except ExactCatError:
+            except _INVALID_CANDIDATE:
                 continue
             cand = {}
             ok = True
@@ -131,7 +136,7 @@ def _drop_generator_candidates(instance: dict):
                     m = m.take_columns(keep)
                 try:
                     cand[key] = model.morphism(dom, cod, m)
-                except ExactCatError:
+                except _INVALID_CANDIDATE:
                     ok = False
                     break
             if ok:
@@ -158,7 +163,7 @@ def _entry_candidates(instance: dict):
                         cand_m = val.model.morphism(
                             val.dom, val.cod,
                             IntMatrix.from_rows(rows, cols=m.cols))
-                    except ExactCatError:
+                    except _INVALID_CANDIDATE:
                         continue
                     cand = dict(instance)
                     cand[key] = cand_m

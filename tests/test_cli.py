@@ -156,6 +156,24 @@ def test_vect_modulus_errors(capsys):
     assert "561 is not prime" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,bound", [
+    (("ext", "4", "6", "-1"), "the degree i must be >= 0, got -1"),
+    (("tor", "4", "6", "-2"), "the degree i must be >= 0, got -2"),
+    (("check", "--max-gens", "-1", "--iters", "1"), "--max-gens must be >= 0, got -1"),
+    (("check", "--iters", "-3"), "--iters must be >= 0, got -3"),
+], ids=["ext_degree", "tor_degree", "max_gens", "iters"])
+def test_negative_argument_is_exit_3_naming_the_bound(argv, bound, capsys):
+    code, out = run_cli(*argv)
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err == f"precondition violated: {bound}\n"
+
+
+def test_zero_iterations_still_run_the_edge_batteries():
+    code, out = run_cli("--json", "check", "--suite", "obscure", "--iters", "0")
+    assert code == 0
+    assert json.loads(out)["suites"][0]["instances_run"] > 0
+
+
 def test_exit_code_law_failure():
     code, out = run_cli("--json", "check", "--model", "even_rank_split",
                         "--suite", "nh_acyclic", "--iters", "3")

@@ -477,3 +477,106 @@ def test_vect_model_complexes_end_to_end():
     y = chain_complex(mv, 0, [v1, v1], [e])
     assert is_acyclic(y) is not None
     assert is_quasi_iso(identity_chain_map(y))
+
+
+# -- the cone certificate through Prop. 3.1 --------------------------------
+
+
+def _same_arrow(u, v):
+    return u.dom == v.dom and u.cod == v.cod and u.matrix == v.matrix
+
+
+def _inline_cone_certificate(f):
+    """check_cone_acyclic's loop before it went through the shared push-out
+    factorization; kept as the oracle for that refactor."""
+    from exactcat.complexes import mapping_cone_data
+    from exactcat.kernel import pushout_along_monic
+    model = f.model
+    cert_a, cert_b = is_acyclic(f.source), is_acyclic(f.target)
+    data = mapping_cone_data(f)
+    cone = data.complex
+    lo, hi = cone.lo, cone.hi
+
+    def ia(n):
+        return cert_a.monics.get(n) or model.zero_morphism(
+            model.zero_object(), f.source.component(n))
+
+    def ja(n):
+        return cert_a.epics.get(n + 1) or model.zero_morphism(
+            f.source.component(n), model.zero_object())
+
+    def ib(n):
+        return cert_b.monics.get(n) or model.zero_morphism(
+            model.zero_object(), f.target.component(n))
+
+    def jb(n):
+        return cert_b.epics.get(n + 1) or model.zero_morphism(
+            f.target.component(n), model.zero_object())
+
+    zobj, epics, monics, extensions = {}, {}, {}, {}
+    for n in range(lo, hi + 2):
+        gn = model.solve_right_factor(ib(n), f.component(n) @ ia(n))
+        po = pushout_along_monic(ia(n), gn)
+        q, bp = po.cokernel_arrow, po.sum
+        h = model.solve_left_factor(q, ja(n) @ bp.proj1)
+        f2 = model.solve_left_factor(q, (f.component(n) @ bp.proj1) + (ib(n) @ bp.proj2))
+        zobj[n] = po.ob
+        extensions[n] = (po.monic, h)
+        bp = data.parts.get(n - 1)
+        epics[n] = ((po.map @ bp.proj1) + (po.monic @ jb(n - 1) @ bp.proj2)
+                    if bp is not None else model.zero_morphism(cone.component(n - 1), po.ob))
+        bp = data.parts.get(n)
+        monics[n] = ((bp.inj1 @ model.negate(ia(n + 1) @ h)) + (bp.inj2 @ f2)
+                     if bp is not None else model.zero_morphism(po.ob, cone.component(n)))
+    return zobj, epics, monics, extensions
+
+
+CONE_MODELS = ["fgab", "fgab_split", "completion:even_rank_split"]
+
+
+@pytest.mark.parametrize("name", CONE_MODELS)
+def test_cone_certificate_matches_inline_oracle(name):
+    from exactcat import laws
+    from exactcat.documents import parse_model_name
+    model = parse_model_name(name)
+    rng = random.Random(31)
+    bounds = GenBounds(max_gens=3)
+    for _ in range(4):
+        x = laws._spliced_acyclic(model, rng, bounds)
+        y = laws._spliced_acyclic(model, rng, bounds)
+        f = laws._homotopy_chain_map(model, rng, x, y)
+        res = check_cone_acyclic(f)
+        zobj, epics, monics, extensions = _inline_cone_certificate(f)
+        cert = res.certificate
+        assert cert.z_objects == zobj
+        assert sorted(cert.epics) == sorted(epics) == sorted(extensions)
+        assert sorted(cert.monics) == sorted(monics)
+        for n in zobj:
+            assert _same_arrow(cert.epics[n], epics[n])
+            assert _same_arrow(cert.monics[n], monics[n])
+            assert _same_arrow(res.extensions[n].i, extensions[n][0])
+            assert _same_arrow(res.extensions[n].p, extensions[n][1])
+
+
+def _certificates():
+    rng = random.Random(32)
+    yield is_acyclic(z_scalar_complex(1, lo=-1))
+    yield is_acyclic(object_as_complex(M.zero_object(), degree=2))
+    for _ in range(3):
+        x = _random_acyclic_complex(rng)
+        y = _random_acyclic_complex(rng)
+        yield is_acyclic(x)
+        yield check_cone_acyclic(_random_chain_map(rng, x, y)).certificate
+
+
+def test_certificate_accessors_factor_the_differentials():
+    for cert in _certificates():
+        x = cert.complex
+        for n in range(x.lo - 1, x.hi + 2):
+            assert (cert.monic(n + 1) @ cert.epic(n + 1)).same_as(x.differential(n))
+        for n in [x.lo - 3, x.lo - 2, x.lo - 1, x.hi + 2, x.hi + 3]:
+            mono, epi = cert.monic(n), cert.epic(n)
+            assert mono.is_zero() and epi.is_zero()
+            assert mono.dom == cert.z_object(n) == epi.cod == M.zero_object()
+            assert mono.cod == x.component(n)
+            assert epi.dom == x.component(n - 1)

@@ -25,7 +25,7 @@ from exactcat.kernel import (
     pushout_along_monic,
     ses,
 )
-from exactcat.models import cyclic, fgab, iso_invariants
+from exactcat.models import cyclic, fgab, iso_invariants, vect_model
 
 B = GenBounds()
 M = fgab()
@@ -73,11 +73,12 @@ def test_factor_times2_self_map():
 
 
 def test_factor_random_instances():
-    rng = random.Random(10)
-    for _ in range(12):
-        m = random_ses_morphism(rng, M, B)
-        res = factor_ses_morphism(m)
-        assert (res.from_middle @ res.to_middle).same_as(m.b)
+    for model in (M, vect_model(3)):
+        rng = random.Random(10)
+        for _ in range(12):
+            m = random_ses_morphism(rng, model, B)
+            res = factor_ses_morphism(m)
+            assert (res.from_middle @ res.to_middle).same_as(m.b)
 
 
 # -- Noether isomorphism ---------------------------------------------------
@@ -536,3 +537,50 @@ def test_three_by_three_rejects_nonzero_middle_composite():
         pytest.skip("perturbation vanished for this presentation")
     with pytest.raises(PreconditionError):
         three_by_three(grid, "missing_middle")
+
+
+# -- the snake and the factorization through one push-out helper -----------
+
+
+def _same_arrow(u, v):
+    return u.dom == v.dom and u.cod == v.cod and u.matrix == v.matrix
+
+
+def _inline_snake(m):
+    """The snake lemma with its push-out written inline, as it was before
+    snake and factor_ses_morphism shared one Prop. 3.1 helper; kept as the
+    oracle for that refactor.  Returns (kernel row, cokernel row, delta)."""
+    from exactcat.kernel import analyze
+    model = m.source.i.model
+    i_s, p_s = m.source.i, m.source.p
+    i_t, p_t = m.target.i, m.target.p
+    a, b, c = m.a, m.b, m.c
+    aa, ab_, ac = analyze(a), analyze(b), analyze(c)
+    po = pushout_along_monic(i_s, a)
+    q, bp = po.cokernel_arrow, po.sum
+    f1 = po.map
+    e_d = model.solve_left_factor(q, p_s @ bp.proj1)
+    b2 = model.solve_left_factor(q, (b @ bp.proj1) + (i_t @ bp.proj2))
+    kc = ker_coker_sequence(f1, b2)
+    af1, ab2, _ = kc.analyses
+    rho = model.solve_left_factor(q, aa.cokernel_arrow @ bp.proj2)
+    psi = model.solve_left_factor(af1.cokernel_arrow, rho)
+    chi = model.solve_right_factor(e_d @ ab2.kernel_arrow, ac.kernel_arrow)
+    delta = psi @ kc.arrows[2] @ chi
+    k1 = model.solve_right_factor(ab_.kernel_arrow, i_s @ aa.kernel_arrow)
+    k2 = model.solve_right_factor(ac.kernel_arrow, p_s @ ab_.kernel_arrow)
+    g1 = model.solve_left_factor(aa.cokernel_arrow, ab_.cokernel_arrow @ i_t)
+    g2 = model.solve_left_factor(ab_.cokernel_arrow, ac.cokernel_arrow @ p_t)
+    return (k1, k2), (g1, g2), delta
+
+
+@pytest.mark.parametrize("model", [M, vect_model(3)], ids=lambda m: m.model_id)
+def test_snake_matches_inline_oracle(model):
+    rng = random.Random(14)
+    for _ in range(10):
+        m = random_ses_morphism(rng, model, B)
+        res = snake(m)
+        krow, crow, delta = _inline_snake(m)
+        assert _same_arrow(res.delta, delta)
+        for got, want in zip(res.kernel_row + res.cokernel_row, krow + crow):
+            assert _same_arrow(got, want)

@@ -258,6 +258,27 @@ def test_shrink_skips_ill_shaped_candidates_but_propagates_bugs():
         _shrink(inst, buggy, 50)
 
 
+@pytest.mark.parametrize("method", ["object", "morphism"])
+def test_shrink_propagates_internal_errors_from_candidate_rebuilds(method, monkeypatch):
+    # rebuilding a candidate may refuse it (PreconditionError,
+    # ComposabilityError), but an InternalCheckError there is a bug
+    from exactcat.kernel import InternalCheckError
+    from exactcat.laws import _shrink
+    m = fgab()
+    a = m.object(2)
+    inst = {"f": m.morphism(a, a, IntMatrix.from_rows([[3, 1], [0, 2]]))}
+
+    def broken(*args, **kwargs):
+        raise InternalCheckError("rebuild blew up")
+
+    monkeypatch.setattr(m, method, broken)
+    with pytest.raises(InternalCheckError, match="rebuild blew up"):
+        _shrink(inst, lambda cand: False, 50)
+    if method == "morphism":
+        with pytest.raises(InternalCheckError, match="rebuild blew up"):
+            next(laws._entry_candidates(inst))
+
+
 def _inline_heller_iii_instance(model, rng, bounds):
     # the inline generator heller_iii had before it drew one obscure-axiom
     # and one cancellation instance; kept as the oracle for that refactor
