@@ -64,6 +64,8 @@ def matrix_to_json(m: IntMatrix) -> dict:
 def matrix_from_json(v) -> IntMatrix:
     if not isinstance(v, dict) or "entries" not in v:
         raise ParseError("matrix must be an object with rows/cols/entries")
+    if not isinstance(v["entries"], list) or not all(isinstance(r, list) for r in v["entries"]):
+        raise ParseError("matrix entries must be a list of rows")
     rows, cols = decode_int(v.get("rows", len(v["entries"]))), None
     if "cols" in v:
         cols = decode_int(v["cols"])
@@ -106,7 +108,7 @@ def model_from_descriptor(desc) -> ExactStructureModel:
         return vect_model(decode_int(desc.get("p", 2)))
     if kind == "completion":
         return complete(model_from_descriptor(desc.get("base", "fgab")))
-    ctor = _BASE_MODELS.get(kind)
+    ctor = _BASE_MODELS.get(kind) if isinstance(kind, str) else None
     if ctor is None:
         raise ParseError(f"unknown model kind {kind!r}")
     return ctor()
@@ -287,26 +289,28 @@ def document_from_jsonable(data) -> Document:
     model = model_from_descriptor(data.get("model", "fgab"))
     doc = Document(model)
     try:
-        for name, lit in (data.get("objects") or {}).items():
+        for name, lit in _literals(data, "objects"):
             doc.objects[name] = object_from_json(lit, model)
-        for name, lit in (data.get("morphisms") or {}).items():
+        for name, lit in _literals(data, "morphisms"):
             dom = _resolve(doc.objects, lit.get("dom"), "object")
             cod = _resolve(doc.objects, lit.get("cod"), "object")
             matrix = matrix_from_json(lit["matrix"])
             doc.morphisms[name] = model.morphism(dom, cod, matrix, check=True)
-        for name, lit in (data.get("complexes") or {}).items():
-            comps = [_resolve(doc.objects, c, "object")
-                     for c in lit.get("components", [])]
+        for name, lit in _literals(data, "complexes"):
+            comps, dms = lit.get("components", []), lit.get("differentials", [])
+            if not (isinstance(comps, list) and isinstance(dms, list)):
+                raise ParseError(f"complex {name!r} needs component and differential lists")
+            comps = [_resolve(doc.objects, c, "object") for c in comps]
             lo = decode_int(lit.get("lo", 0))
             diffs = []
-            for k, dm in enumerate(lit.get("differentials", [])):
+            for k, dm in enumerate(dms):
                 if isinstance(dm, str):
                     diffs.append(_resolve(doc.morphisms, dm, "morphism"))
                 else:
                     diffs.append(model.morphism(comps[k], comps[k + 1],
                                                 matrix_from_json(dm), check=True))
             doc.complexes[name] = chain_complex(model, lo, comps, diffs, check=True)
-        for name, lit in (data.get("diagrams") or {}).items():
+        for name, lit in _literals(data, "diagrams"):
             kind = lit.get("kind")
             if kind == "ses":
                 i = _resolve(doc.morphisms, lit.get("i"), "morphism")
@@ -349,10 +353,17 @@ def document_from_jsonable(data) -> Document:
         raise
     except KeyError as exc:
         raise ParseError(f"missing field {exc}") from exc
-    except (ComposabilityError, AttributeError, IndexError, TypeError, ValueError) as exc:
-        # malformed shapes and types; a violated precondition propagates
+    except (ComposabilityError, IndexError, ValueError) as exc:
+        # shapes are checked where read, so a TypeError from model code propagates
         raise ParseError(f"document failed validation: {exc}") from exc
     return doc
+
+
+def _literals(data: dict, key: str):
+    table = data.get(key) or {}
+    if not isinstance(table, dict) or not all(isinstance(v, dict) for v in table.values()):
+        raise ParseError(f"{key!r} must map names to JSON objects")
+    return table.items()
 
 
 def _resolve(table: dict, key, what: str):

@@ -24,6 +24,7 @@ from .complexes import (
     ChainComplex,
     ChainHomotopy,
     ChainMap,
+    _certified,
     chain_complex,
     chain_map,
     find_null_homotopy,
@@ -77,17 +78,35 @@ class Resolution:
 
 def resolution(cx: ChainComplex, augmentation: MorphismHandle,
                truncated: bool = False, check: bool = True) -> Resolution:
-    res = Resolution(cx, augmentation, truncated)
-    if check:
-        model = cx.model
+    """A resolution from a given complex, which carries no splice: `is_acyclic` checks it."""
+    return _checked(Resolution(cx, augmentation, truncated), is_acyclic if check else None)
+
+
+def _checked(res: Resolution, certify) -> Resolution:
+    """res, checked when ``certify`` (its acyclicity test) is given."""
+    cx = res.complex
+    if certify is not None:
         if cx.hi != 0:
             raise PreconditionError("resolutions live in degrees <= 0")
         for n in cx.degrees():
-            if not model.is_projective(cx.component(n)):
+            if not cx.model.is_projective(cx.component(n)):
                 raise PreconditionError("resolution components must be projective")
-        if not truncated and is_acyclic(res.augmented_complex()) is None:
+        if not res.truncated and certify(res.augmented_complex()) is None:
             raise PreconditionError("augmented complex is not exact")
     return res
+
+
+def _spliced_resolution(covers: list[MorphismHandle], kernels: list[MorphismHandle],
+                        truncated: bool = False) -> Resolution:
+    """Augmentation covers[0], d_{n+1} = kernels[n] covers[n+1], certified by
+    this splice: a kernel of an admissible epic makes a short exact pair;
+    1_A closes it at A, and the last kernel, which must be zero, at the other end."""
+    model = covers[0].model
+    cx = chain_complex(model, 1 - len(covers), [c.dom for c in reversed(covers)],
+                       [k @ c for k, c in reversed(list(zip(kernels, covers[1:])))])
+    return _checked(Resolution(cx, covers[0], truncated), lambda x: _certified(
+        x, {1 - n: e for n, e in enumerate(covers)},
+        {1: model.identity(covers[0].cod), **{-n: k for n, k in enumerate(kernels)}}))
 
 
 def projective_resolution(a: ObjectHandle, max_length: int = 8,
@@ -96,33 +115,23 @@ def projective_resolution(a: ObjectHandle, max_length: int = 8,
 
     ``cover`` may replace the canonical generator cover (it must return an
     admissible epic from a projective object); this is how randomized
-    resolutions are produced.
+    resolutions are produced.  Its kernel pairs (k_n, cover_n) certify it.
     """
+    if max_length < 0:
+        raise PreconditionError(f"max_length must be >= 0, got {max_length}")
     model = a.model
     cover = cover or model.projective_cover_epi
-    eps = cover(a)
-    comps = [eps.dom]
-    diffs: list[MorphismHandle] = []
-    cur = eps
-    truncated = False
-    for _ in range(max_length):
-        k = model.kernel(cur)
+    covers, kernels = [cover(a)], []
+    while True:
+        k = model.kernel(covers[-1])
         if k is None:
             raise InternalCheckError("kernel of a cover is missing")
-        if model.is_zero_object(k.dom):
+        kernels.append(k)
+        if model.is_zero_object(k.dom) or len(covers) > max_length:
             break
-        nxt = cover(k.dom)
-        diffs.append(k @ nxt)
-        comps.append(nxt.dom)
-        cur = nxt
-    else:
-        k = model.kernel(cur)
-        if k is not None and not model.is_zero_object(k.dom):
-            truncated = True
-    lo = -(len(comps) - 1)
-    cx = chain_complex(model, lo, list(reversed(comps)), list(reversed(diffs)),
-                       check=True)
-    return resolution(cx, eps, truncated=truncated)
+        covers.append(cover(k.dom))
+    return _spliced_resolution(covers, kernels,
+                               truncated=not model.is_zero_object(kernels[-1].dom))
 
 
 def random_cover(rng: random.Random, pad_levels: int = 2, max_extra: int = 2,
@@ -200,13 +209,13 @@ class HorseshoeResult:
 def horseshoe(s: ShortExactSequence, p_sub: Resolution,
               p_quot: Resolution) -> HorseshoeResult:
     """Fill in a horseshoe: resolutions of the outer terms assemble to one
-    of the middle with degreewise split columns."""
+    of the middle with degreewise split columns.  The pairs (kernel of
+    eps_n, eps_n) certify the middle one, as in `projective_resolution`."""
     model = s.i.model
     if p_sub.target != s.sub or p_quot.target != s.quot:
         raise PreconditionError("resolutions do not match the outer terms")
     cur_ses = s
     eps_sub, eps_quot = p_sub.augmentation, p_quot.augmentation
-    comps: list[ObjectHandle] = []
     cols: list[ShortExactSequence] = []
     secs: list[MorphismHandle] = []
     rets: list[MorphismHandle] = []
@@ -221,7 +230,6 @@ def horseshoe(s: ShortExactSequence, p_sub: Resolution,
         if lift is None:
             raise InternalCheckError("quotient augmentation does not lift")
         eps = (cur_ses.i @ eps_sub @ bp.proj1) + (lift @ bp.proj2)
-        comps.append(bp.ob)
         cols.append(ShortExactSequence(bp.inj1, bp.proj2))
         secs.append(bp.inj2)
         rets.append(bp.proj1)
@@ -248,17 +256,13 @@ def horseshoe(s: ShortExactSequence, p_sub: Resolution,
         if nxt_sub is None or nxt_quot is None:
             raise InternalCheckError("resolutions do not factor over their kernels")
         eps_sub, eps_quot = nxt_sub, nxt_quot
-    diffs = [kernels[n] @ eps_list[n + 1] for n in range(len(comps) - 1)]
-    lo = -(len(comps) - 1)
-    cx = chain_complex(model, lo, list(reversed(comps)), list(reversed(diffs)),
-                       check=True)
-    mid = resolution(cx, eps_list[0])
+    mid = _spliced_resolution(eps_list, kernels)
     # verify the columns commute with the three resolutions
-    for n in range(len(comps) - 1):
-        left = diffs[n] @ secs[n + 1]
-        if not (cols[n].p @ left).same_as(p_quot.differential(n + 1)):
+    for n in range(top):
+        d = mid.differential(n + 1)
+        if not (cols[n].p @ d @ secs[n + 1]).same_as(p_quot.differential(n + 1)):
             raise InternalCheckError("horseshoe columns do not commute with d''")
-        if not (diffs[n] @ cols[n + 1].i).same_as(cols[n].i @ p_sub.differential(n + 1)):
+        if not (d @ cols[n + 1].i).same_as(cols[n].i @ p_sub.differential(n + 1)):
             raise InternalCheckError("horseshoe columns do not commute with d'")
     return HorseshoeResult(mid, tuple(cols), tuple(secs), tuple(rets))
 
@@ -277,7 +281,7 @@ def projective_replacement(x: ChainComplex, max_extra: int = 8,
     Built by iterated pull-backs: B_{n+1} is the pull-back of the cover
     P_n ->> B_n along the induced map from the next component, covers are
     taken at every stage, and the cone of the comparison map carries the
-    B_n as its acyclicity certificate.
+    B_n as its acyclicity certificate, checked without analysing the cone.
     """
     model = x.model
     if not model.abelian:
@@ -295,6 +299,10 @@ def projective_replacement(x: ChainComplex, max_extra: int = 8,
     i_primes: list[MorphismHandle] = []     # B_{n+1} -> P_n
     i_seconds: list[MorphismHandle] = []    # B_{n+1} ->> A_{n+1}
     p_second = x.differential(hi - 1)       # A_1 -> B_0
+    # Cone degree hi - n - 1 is the middle of B_{n+1} >-(i'; i'')-> P_n + A_{n+1}
+    # -(p', -p'')->> B_n, short exact by Prop. 2.12.  The cone's d = (-d_P, 0;
+    # alpha, d_A) is (-i'; i'') after (p', p''): that row moved by diag(-1, 1), up to sign.
+    epics, monics = {}, {hi: model.biproduct(model.zero_object(), b_cur).inj2}
     n = 0
     limit = (x.hi - x.lo + 1) + max_extra
     while True:
@@ -305,6 +313,8 @@ def projective_replacement(x: ChainComplex, max_extra: int = 8,
         pb = pullback_along_epic(p_prime, p_second)
         i_primes.append(pb.map)        # B_{n+1} -> P_n
         i_seconds.append(pb.epic)      # B_{n+1} ->> A_{n+1}
+        epics[hi - n] = p_prime @ pb.sum.proj1 + p_second @ pb.sum.proj2
+        monics[hi - n - 1] = pb.sum.inj2 @ pb.epic - pb.sum.inj1 @ pb.map
         b_cur = pb.ob
         if model.is_zero_object(b_cur) and hi - n - 2 < x.lo:
             break
@@ -325,7 +335,7 @@ def projective_replacement(x: ChainComplex, max_extra: int = 8,
                        [diffs[hi - m - 1] for m in range(lo, hi)],
                        check=True)
     alpha = chain_map(cx, x, {hi - k: alphas[k] for k in range(count)}, check=True)
-    cert = is_acyclic(mapping_cone(alpha))
+    cert = _certified(mapping_cone(alpha), epics, monics)
     if cert is None:
         raise InternalCheckError("cone of the projective replacement is not acyclic")
     return ProjectiveReplacement(cx, alpha, cert)

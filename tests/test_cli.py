@@ -123,6 +123,34 @@ def test_document_precondition_is_exit_3(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,literal", [
+    ("morphisms", [1, 2]),
+    ("complexes", "X"),
+    ("diagrams", 7),
+])
+def test_non_object_literal_is_exit_2(section, literal, tmp_path, capsys):
+    doc = json.loads((GOLDEN / "snake_doc.json").read_text(encoding="utf-8"))
+    doc[section]["bad"] = literal
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _ = run_cli("resolve", str(path), "Z4")
+    assert code == 2
+    assert f"'{section}' must map names to JSON objects" in capsys.readouterr().err
+
+
+def test_type_error_in_model_code_propagates(monkeypatch):
+    # a fault inside the model is not a malformed document
+    from exactcat.models import fgab
+
+    def broken(*args, **kwargs):
+        raise TypeError("fault in model code")
+
+    monkeypatch.setattr(fgab(), "morphism", broken)
+    doc = json.loads((GOLDEN / "snake_doc.json").read_text(encoding="utf-8"))
+    with pytest.raises(TypeError, match="fault in model code"):
+        document_from_jsonable(doc)
+
+
 def test_homology_on_completion_is_precondition(tmp_path, capsys):
     # homology needs presented objects, which completion objects are not
     doc = {
@@ -161,7 +189,9 @@ def test_vect_modulus_errors(capsys):
     (("tor", "4", "6", "-2"), "the degree i must be >= 0, got -2"),
     (("check", "--max-gens", "-1", "--iters", "1"), "--max-gens must be >= 0, got -1"),
     (("check", "--iters", "-3"), "--iters must be >= 0, got -3"),
-], ids=["ext_degree", "tor_degree", "max_gens", "iters"])
+    (("resolve", str(GOLDEN / "snake_doc.json"), "Z4", "--max-length", "-1"),
+     "max_length must be >= 0, got -1"),
+], ids=["ext_degree", "tor_degree", "max_gens", "iters", "max_length"])
 def test_negative_argument_is_exit_3_naming_the_bound(argv, bound, capsys):
     code, out = run_cli(*argv)
     assert code == 3 and out == ""

@@ -104,6 +104,13 @@ def test_resolution_of_mixed():
     assert invs(res.component(1)) == (1, ())
 
 
+def test_resolution_refuses_negative_max_length():
+    with pytest.raises(PreconditionError, match="max_length must be >= 0, got -1"):
+        projective_resolution(cyclic(4), max_length=-1)
+    res = projective_resolution(cyclic(4), max_length=0)
+    assert res.length == 0 and res.truncated
+
+
 def test_random_resolutions_valid():
     # completion objects get unpadded covers (no object(ngens) to pad with)
     small = GenBounds(max_gens=3)
