@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .intlinalg import IntMatrix
+from .intlinalg import IntMatrix, memo
 from .kernel import (
     CACHE_SIZE,
     Analysis,
@@ -94,7 +94,7 @@ class CompletedModel(ExactStructureModel):
         except TypeError:   # unhashable: validated and built as without the memo
             return super()._obj(payload)
 
-    @lru_cache(maxsize=CACHE_SIZE)
+    @memo
     def _valid_pair(self, payload: object) -> ObjectHandle:
         return super()._obj(payload)
 

@@ -24,6 +24,13 @@ from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 
+# Bound of every data-keyed memo in the package (only the model factories are
+# unbounded): a bench chunk sees up to 6k keys per memo, yet each memo keeps
+# 98.7-99.7% of its unbounded hits within 1,024 of them.
+CACHE_SIZE = 1024
+memo = lru_cache(maxsize=CACHE_SIZE)
+
+
 class DimensionMismatch(ValueError):
     """Shapes of the operands do not line up."""
 
@@ -258,7 +265,7 @@ def _negate_row(m: list[list[int]], i: int) -> None:
     m[i] = [-x for x in m[i]]
 
 
-@lru_cache(maxsize=None)
+@memo
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Diagonalize ``a`` as U @ a @ V = D.
 
@@ -437,7 +444,7 @@ def _from_columns(rows: int, cols: Sequence[Sequence[int]], start: int = 0) -> I
                                            for i in range(rows)))
 
 
-@lru_cache(maxsize=None)
+@memo
 def column_hnf_transform(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Column Hermite basis with its unimodular transform: a @ V = [H | 0].
 
@@ -450,14 +457,14 @@ def column_hnf_transform(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return _from_columns(n, cols[:fixed]), _from_columns(c, cols, n)
 
 
-@lru_cache(maxsize=None)
+@memo
 def kernel_basis(a: IntMatrix) -> IntMatrix:
     """Basis (as columns) of the integer kernel lattice {x : a @ x = 0}."""
     h, v = column_hnf_transform(a)
     return v.take_columns(range(h.cols, a.cols))
 
 
-@lru_cache(maxsize=None)
+@memo
 def column_hnf(a: IntMatrix) -> IntMatrix:
     """Canonical column Hermite basis of the lattice spanned by the columns.
 
@@ -480,10 +487,11 @@ def _pivots(h: IntMatrix) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple((next(i for i, x in enumerate(col) if x), col) for col in zip(*h.entries))
 
 
-@lru_cache(maxsize=None)
+@memo
 def _lattice_reducer(lattice_gens: IntMatrix) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The pivots of the lattice's HNF, keyed on the same matrices as
-    ``column_hnf``, so this cache holds no more entries than that one."""
+    """The pivots of the lattice's HNF.  Its keys are among those of
+    ``column_hnf``, but each memo evicts its own least recently used
+    entries, so a miss here may still hit the Hermite memo."""
     return _pivots(column_hnf(lattice_gens))
 
 
@@ -559,7 +567,7 @@ class _Solver:
                      for i in range(len(x)))
 
 
-@lru_cache(maxsize=None)
+@memo
 def _solver(a: IntMatrix) -> _Solver:
     return _Solver(a)
 
@@ -730,7 +738,7 @@ def solve_rows_mod_lattice(r: IntMatrix, c: IntMatrix, lattice_gens: IntMatrix,
     return x if u is None else unimodular_inverse(u) @ x
 
 
-@lru_cache(maxsize=None)
+@memo
 def preimage_basis(m: IntMatrix, lattice_gens: IntMatrix) -> IntMatrix:
     """Canonical basis of the lattice {x : m @ x in col(lattice_gens)}.
 

@@ -12,20 +12,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .intlinalg import (
+    CACHE_SIZE,   # re-exported: completion and callers read the bound here
     IntMatrix,
     MatrixEquationSystem,
+    memo,
     reduce_columns_mod_lattice,
     solve_columns_mod_lattice,
     solve_rows_mod_lattice,
 )
-
-
-# Bound of each model memo: 99% of repeated bench lookups recur within 1,000 keys.
-CACHE_SIZE = 1024
 
 
 class ExactCatError(Exception):
@@ -321,7 +318,7 @@ class ExactStructureModel:
             self._validate_morphism_matrix(dom, cod, matrix)
         return MorphismHandle(dom, cod, matrix)
 
-    @lru_cache(maxsize=CACHE_SIZE)
+    @memo
     def identity(self, a: ObjectHandle) -> MorphismHandle:
         # on a completion the sandwich p 1 p = p p reduces as p does
         return self.morphism(a, a, IntMatrix.identity(self._gens(a.payload)), check=False)
@@ -408,7 +405,7 @@ class ExactStructureModel:
     def biproduct_payload(self, a: object, b: object) -> object:
         raise NotImplementedError
 
-    @lru_cache(maxsize=CACHE_SIZE)
+    @memo
     def biproduct(self, a: ObjectHandle, b: ObjectHandle) -> BiproductData:
         # The structure maps are blocks of 1_a, 1_b and zeros, already
         # canonical: the relations of a + b are block diagonal, so is their
@@ -438,7 +435,7 @@ class ExactStructureModel:
         # memoised: dom, cod and the canonical matrix determine the arrow
         return self._analysis(f.dom, f.cod, f.matrix)
 
-    @lru_cache(maxsize=CACHE_SIZE)
+    @memo
     def _analysis(self, dom: ObjectHandle, cod: ObjectHandle,
                   matrix: IntMatrix) -> Optional[Analysis]:
         return self._analyze(MorphismHandle(dom, cod, matrix))

@@ -37,6 +37,7 @@ from .intlinalg import (
     column_hnf,
     lattice_contains,
     lattice_equal,
+    memo,
     preimage_basis,
     saturation,
     smith_normal_form,
@@ -68,7 +69,7 @@ class PresentedObject:
             raise ValueError("relation matrix must have one row per generator")
 
 
-@lru_cache(maxsize=None)
+@memo
 def normalize_presentation(payload: PresentedObject) -> tuple[PresentedObject, IntMatrix, IntMatrix]:
     """Canonical (Smith-reduced) presentation plus the change of generators.
 
@@ -94,7 +95,7 @@ def normalize_presentation(payload: PresentedObject) -> tuple[PresentedObject, I
     return PresentedObject(len(kept), new_rel), to_raw, from_raw
 
 
-@lru_cache(maxsize=None)
+@memo
 def _invariants_of(payload: PresentedObject) -> IsoInvariants:
     canon, _, _ = normalize_presentation(payload)
     torsion = tuple(canon.relations.entries[i][i] for i in range(canon.relations.cols))
@@ -129,6 +130,7 @@ class PresentedModel(ExactStructureModel):
             relations = IntMatrix.zeros(ngens, 0)
         return self._obj(PresentedObject(ngens, relations))
 
+    @memo
     def zero_object(self) -> ObjectHandle:
         return self.object(0)
 
@@ -246,7 +248,7 @@ class PresentedModel(ExactStructureModel):
         r = rng.randrange(0, bounds.max_gens + 1)
         return self.object(n, self._rand_matrix(rng, n, r, bounds.max_rel_entry))
 
-    @lru_cache(maxsize=4096)
+    @memo
     def _hom_basis(self, a: PresentedObject, b: PresentedObject) -> IntMatrix:
         """Columns are vectorized generators of Hom(a, b) inside matrix space:
         the canonical basis of {vec X : X R_a in col(R_b)}, X_ij at j * nb + i."""

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from .complexes import (
@@ -35,7 +34,7 @@ from .complexes import (
     _homology_data,
 )
 from .diagrams import is_exact_pair
-from .intlinalg import IntMatrix, preimage_basis, solve_columns_mod_lattice
+from .intlinalg import IntMatrix, memo, preimage_basis, solve_columns_mod_lattice
 from .kernel import (
     InternalCheckError,
     MorphismHandle,
@@ -367,7 +366,7 @@ class HomStructure:
         return solve_columns_mod_lattice(self.basis, vecs, nmat)
 
 
-@lru_cache(maxsize=4096)
+@memo
 def hom_structure(src: ObjectHandle, dst: ObjectHandle) -> HomStructure:
     model = src.model
     ns = src.payload.ngens

@@ -665,6 +665,33 @@ def test_smith_invariant_factors_match_sympy():
         assert smith_normal_form(a).diagonal == tuple(int(d) for d in theirs)
 
 
+def test_solve_integer_matches_sympy_smith_decomposition():
+    """A returned x solves a x = b; a None is confirmed by sympy's own
+    decomposition U a V = D, under which a x = b reads D y = U b."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_decomp
+    rng = random.Random(7016)
+    mats, outcomes = [], set()
+    for trial in range(320):
+        a = _random_case(rng, trial)
+        if trial % 2:
+            b = [rng.randint(-6, 6) for _ in range(a.rows)]
+        else:
+            b = list((a @ _rand(rng, a.cols, 1)).column_at(0)) if a.cols else [0] * a.rows
+        x = solve_integer(a, b)
+        outcomes.add(x is None)
+        mats.append(a)
+        if x is not None:
+            assert [sum(e * xj for e, xj in zip(row, x)) for row in a.entries] == b
+            continue
+        d, u, _ = smith_normal_decomp(_to_sympy(sympy, a), domain=sympy.ZZ)
+        ub = u * sympy.Matrix(a.rows, 1, b)
+        assert any(ub[i] % d[i, i] if i < a.cols and d[i, i] else ub[i]
+                   for i in range(a.rows))
+    assert outcomes == {True, False}
+    assert {"0-row", "0-col"} <= _shape_coverage(mats)
+
+
 def _to_sympy(sympy, a):
     return sympy.Matrix(a.rows, a.cols, [x for row in a.entries for x in row])
 

@@ -6,8 +6,6 @@ from exactcat.completion import CompletedModel, complete
 from exactcat.documents import parse_model_name
 from exactcat.intlinalg import IntMatrix
 from exactcat.kernel import (
-    CACHE_SIZE,
-    ExactStructureModel,
     GenBounds,
     NotAdmissible,
     PreconditionError,
@@ -445,13 +443,6 @@ def test_memoised_analyze_keeps_none():
                                 IntMatrix.from_rows([[2]]))
     assert two.model.analyze(two) is None and two.model._analyze(two) is None
     assert two.model.analyze(two) is None
-
-
-def test_model_caches_are_bounded():
-    for cached in (CompletedModel._valid_pair, ExactStructureModel.identity,
-                   ExactStructureModel.biproduct, ExactStructureModel._analysis):
-        assert cached.cache_info().maxsize == CACHE_SIZE
-    assert 0 < CACHE_SIZE < 10_000
 
 
 def test_invalid_or_unhashable_payload_raises_precondition():

@@ -193,6 +193,14 @@ def test_degenerate_bounds():
     assert zero_entries.is_zero()
 
 
+@pytest.mark.parametrize("model", [fgab(), vect_model(3), free_exact(), even_rank_split()],
+                         ids=["fgab", "vect:3", "free_exact", "even_rank_split"])
+def test_zero_object_is_one_handle_per_model(model):
+    z = model.zero_object()
+    assert model.zero_object() is z
+    assert model.is_zero_object(z) and z.model is model
+
+
 def test_random_morphism_well_defined():
     rng = random.Random(45)
     m = fgab()
