@@ -53,6 +53,10 @@ class CompletedModel(ExactStructureModel):
     exact structure (direct summands of base sequences)."""
 
     def __init__(self, base: ExactStructureModel):
+        if isinstance(base, CompletedModel):
+            raise PreconditionError(
+                "completions do not nest: the base of a completion must not be a "
+                "completion, which is already idempotent complete")
         self.base = base
         self.model_id = f"completion({base.model_id})"
         self.abelian = base.abelian

@@ -374,8 +374,13 @@ def _resolve(table: dict, key, what: str):
 
 def load_document(path: str) -> Document:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read document {path!r}: {exc}") from exc
-    return document_from_jsonable(data)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ParseError(f"cannot read document {path!r}: {exc}") from exc
+        return document_from_jsonable(data)
+    except RecursionError as exc:
+        # from json.load, or, where the C decoder nests deeper than Python
+        # recurses (3.12 on), from reading the nested model descriptors
+        raise ParseError(f"document {path!r} nests too deeply to parse") from exc

@@ -526,7 +526,8 @@ class _Solver:
     coefficients reduced modulo the pivots.  One solver serves every
     column (or row) of a decoupled matrix equation, see
     ``solve_columns_mod_lattice`` and ``solve_rows_mod_lattice``, and the
-    Kronecker-assembled coupled systems of ``MatrixEquationSystem``.
+    Kronecker-assembled systems of ``MatrixEquationSystem``, which only
+    null homotopies reach after their degreewise pass fails.
     """
 
     def __init__(self, a: IntMatrix):

@@ -215,9 +215,10 @@ class MorphismSystem:
     arrow X -> Y, the constraint that it carries the relation lattice of
     X into the relation lattice of Y; without it a raw matrix solution
     need not be a morphism at all.  Only systems coupling several unknowns
-    need this (null homotopies); a single unknown factor is found by
-    ``solve_right_factor`` or ``solve_left_factor`` without assembling a
-    system.
+    need this, and of those only what the degreewise pass of
+    ``find_null_homotopy`` cannot build; a single unknown factor is found
+    by ``solve_right_factor`` or ``solve_left_factor`` without assembling
+    a system.
     """
 
     def __init__(self, model: "ExactStructureModel"):

@@ -167,8 +167,9 @@ def compare_lift(f: MorphismHandle, p: Resolution, q: Resolution,
     """Lift f: A -> B to a chain map between resolutions of A and B.
 
     Each degree is one lifting problem against the exactness of the target
-    resolution; the optional rng picks a random point of the solution
-    lattice so independently computed lifts genuinely differ.
+    resolution, so a truncated target must be at least as long as the
+    source; the optional rng picks a random point of the solution lattice
+    so independently computed lifts genuinely differ.
     """
     if p.target != f.dom or q.target != f.cod:
         raise PreconditionError("resolutions do not resolve the endpoints of f")
@@ -183,6 +184,10 @@ def compare_lift(f: MorphismHandle, p: Resolution, q: Resolution,
         rhs = prev @ p.differential(n)
         fn = model.solve_right_factor(q.differential(n), rhs, rng=rng)
         if fn is None:
+            if q.truncated and q.length < p.length:
+                raise PreconditionError(
+                    f"no lift at degree {n}: the target resolution is truncated at "
+                    f"length {q.length}, shorter than the source ({p.length})")
             raise InternalCheckError(f"lifting problem at degree {n} is unsolvable")
         comps[n] = fn
     return chain_map(p.complex, q.complex,
@@ -190,7 +195,8 @@ def compare_lift(f: MorphismHandle, p: Resolution, q: Resolution,
 
 
 def lift_homotopy(f1: ChainMap, f2: ChainMap) -> ChainHomotopy:
-    """Homotopy between two lifts of the same morphism (always exists)."""
+    """Homotopy between two lifts of the same morphism into an exact target
+    resolution; it exists by the comparison theorem."""
     h = find_null_homotopy(f1 - f2)
     if h is None:
         raise InternalCheckError("two lifts of the same morphism must be homotopic")
@@ -209,10 +215,15 @@ def horseshoe(s: ShortExactSequence, p_sub: Resolution,
               p_quot: Resolution) -> HorseshoeResult:
     """Fill in a horseshoe: resolutions of the outer terms assemble to one
     of the middle with degreewise split columns.  The pairs (kernel of
-    eps_n, eps_n) certify the middle one, as in `projective_resolution`."""
+    eps_n, eps_n) certify the middle one, as in `projective_resolution`;
+    both outer resolutions must be exact, not truncated."""
     model = s.i.model
     if p_sub.target != s.sub or p_quot.target != s.quot:
         raise PreconditionError("resolutions do not match the outer terms")
+    for name, r in (("p_sub", p_sub), ("p_quot", p_quot)):
+        if r.truncated:
+            raise PreconditionError(f"horseshoe needs exact outer resolutions, "
+                                    f"but {name} is truncated at length {r.length}")
     cur_ses = s
     eps_sub, eps_quot = p_sub.augmentation, p_quot.augmentation
     cols: list[ShortExactSequence] = []

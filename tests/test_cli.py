@@ -169,6 +169,29 @@ def test_homology_on_completion_is_precondition(tmp_path, capsys):
     assert "abelian model of presented groups" in capsys.readouterr().err
 
 
+def test_nested_completion_is_exit_3(tmp_path, capsys):
+    doc = {"version": "exactcat/1",
+           "model": {"kind": "completion",
+                     "base": {"kind": "completion", "base": {"kind": "fgab"}}},
+           "objects": {}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _ = run_cli("resolve", str(path), "Z")
+    assert code == 3
+    assert "completions do not nest" in capsys.readouterr().err
+
+
+def test_over_deep_document_is_exit_2(tmp_path, capsys):
+    depth = 3000
+    model = '{"kind": "completion", "base": ' * depth + '"fgab"' + "}" * depth
+    path = tmp_path / "doc.json"
+    path.write_text('{"version": "exactcat/1", "model": ' + model + ', "objects": {}}',
+                    encoding="utf-8")
+    code, _ = run_cli("resolve", str(path), "Z")
+    assert code == 2
+    assert "nests too deeply" in capsys.readouterr().err
+
+
 def test_vect_modulus_errors(capsys):
     # a modulus that is not an integer is malformed input
     code, _ = run_cli("check", "--model", "vect:abc", "--iters", "1")

@@ -95,6 +95,12 @@ def test_embedding_preserves_and_reflects_exactness():
     assert not comp.is_short_exact(comp.embed_morphism(two), comp.embed_morphism(z))
 
 
+def test_completions_do_not_nest():
+    # a completion is already idempotent complete
+    with pytest.raises(PreconditionError, match="completions do not nest"):
+        complete(complete(fgab()))
+
+
 def test_completion_is_idempotent_complete_flagwise():
     comp = complete(even_rank_split())
     assert comp.idempotent_complete

@@ -247,18 +247,18 @@ def test_cone_acyclic_iff_null_homotopic_complexes_acyclic_fgab():
         assert is_acyclic(x) is not None
 
 
-def _null_homotopic_complex(rng, pieces=2):
-    """Direct sum of shifted cones of identities, conjugated by a shear."""
+def _null_homotopic_complex(rng, model=M):
+    """Direct sum of two shifted cones of identities."""
     cones = []
-    for k in range(pieces):
-        a = object_as_complex(M.random_object(rng, GenBounds(max_gens=2)),
+    for k in range(2):
+        a = object_as_complex(model.random_object(rng, GenBounds(max_gens=2)),
                               degree=rng.randrange(0, 2))
         cones.append(mapping_cone(identity_chain_map(a)))
     lo = min(c.lo for c in cones)
     hi = max(c.hi for c in cones)
     comps, diffs = [], []
     for n in range(lo, hi + 1):
-        bp = M.biproduct(cones[0].component(n), cones[1].component(n))
+        bp = model.biproduct(cones[0].component(n), cones[1].component(n))
         comps.append((bp, bp.ob))
     for n in range(lo, hi):
         bp_n, _ = comps[n - lo]
@@ -266,7 +266,7 @@ def _null_homotopic_complex(rng, pieces=2):
         d = (bp_n1.inj1 @ cones[0].differential(n) @ bp_n.proj1) + \
             (bp_n1.inj2 @ cones[1].differential(n) @ bp_n.proj2)
         diffs.append(d)
-    return chain_complex(M, lo, [ob for _, ob in comps], diffs)
+    return chain_complex(model, lo, [ob for _, ob in comps], diffs)
 
 
 def test_periodic_dichotomy():
@@ -413,6 +413,85 @@ def test_strict_triangle_section_matches_assembled_system(model):
                 continue
             tri = strict_triangle(f)
             assert (tri.projection @ s).same_as(identity_chain_map(s.source))
+    assert seen[True] and seen[False], seen
+
+
+def test_failed_degreewise_step_falls_back_to_the_coupled_system():
+    # A = Z --1--> Z in degrees 0..1, B = Z in degree 0, f^0 = 3.  The pass
+    # takes h^1 = 0 from the free choice at degree 1 and then cannot factor
+    # f^0 through d_B^{-1} = 0; the only witness is h^1 = 3.
+    z = cyclic(0)
+    a, b = z_scalar_complex(1), object_as_complex(z)
+    f = chain_map(a, b, {0: mor(z, z, [[3]])})
+    h = find_null_homotopy(f)
+    assert h is not None and set(h.comps) == {1}
+    assert h.component(1).matrix == IntMatrix.from_rows([[3]])
+
+
+def test_lifts_and_contractions_never_assemble_a_system(monkeypatch):
+    # the comparison theorem and split exactness make every degreewise step
+    # solvable, so these calls never reach the coupled system
+    from exactcat import complexes
+    from exactcat.resolutions import compare_lift, lift_homotopy, random_resolution
+
+    def refuse(model):
+        raise AssertionError("coupled system assembled")
+
+    monkeypatch.setattr(complexes, "MorphismSystem", refuse)
+    rng = random.Random(41)
+    for _ in range(10):
+        a, b = M.random_object(rng, B), M.random_object(rng, B)
+        f = M.random_morphism(rng, a, b)
+        p, q = random_resolution(a, rng), random_resolution(b, rng)
+        lift_homotopy(compare_lift(f, p, q, rng=rng), compare_lift(f, p, q, rng=rng))
+    for model in ORACLE_MODELS:
+        for _ in range(4):
+            x = _null_homotopic_complex(rng, model)
+            assert find_null_homotopy(identity_chain_map(x)) is not None, model.model_id
+
+
+def _homotopy_oracle(f):
+    # One Kronecker system for the unknowns of every degree, with the
+    # components lacking generators left out.
+    model = f.model
+    a, b = f.source, f.target
+    sys = MorphismSystem(model)
+    unknowns = {}
+    for n in range(min(a.lo, b.lo), max(a.hi, b.hi) + 2):
+        src, dst = a.component(n), b.component(n - 1)
+        if model._gens(src.payload) and model._gens(dst.payload):
+            sys.unknown_morphism(f"h{n}", src, dst)
+            unknowns[n] = (src, dst)
+    trivially_zero = True
+    for n in range(min(a.lo, b.lo), max(a.hi, b.hi) + 1):
+        src, dst = a.component(n), b.component(n)
+        rows, cols = model._gens(dst.payload), model._gens(src.payload)
+        if rows == 0 or cols == 0:
+            continue
+        terms = []
+        if n in unknowns:
+            terms.append((f"h{n}", b.differential(n - 1).matrix, IntMatrix.identity(cols)))
+        if n + 1 in unknowns:
+            terms.append((f"h{n + 1}", IntMatrix.identity(rows), a.differential(n).matrix))
+        if terms:
+            trivially_zero = False
+            sys.equation(terms, f.component(n).matrix, cod=dst)
+        elif not f.component(n).is_zero():
+            return False
+    return trivially_zero or sys.solve() is not None
+
+
+@pytest.mark.parametrize("model", ORACLE_MODELS, ids=lambda m: m.model_id)
+def test_null_homotopy_verdicts_match_the_coupled_solver(model):
+    rng = random.Random(97)
+    seen = {True: 0, False: 0}
+    for _ in range(10):
+        x = _random_two_term(model, rng)
+        for c in (0, 1, 2):
+            f = _homotopic_to_multiple_of_identity(model, rng, x, c)
+            h = find_null_homotopy(f)
+            assert (h is not None) == _homotopy_oracle(f), (model.model_id, c)
+            seen[h is not None] += 1
     assert seen[True] and seen[False], seen
 
 

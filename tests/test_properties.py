@@ -8,9 +8,88 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from exactcat import resolutions  # noqa: E402
 from exactcat.complexes import _certified, is_acyclic  # noqa: E402
-from exactcat.intlinalg import IntMatrix  # noqa: E402
+from exactcat.intlinalg import (  # noqa: E402
+    IntMatrix,
+    column_hnf,
+    lattice_contains,
+    preimage_basis,
+    reduce_columns_mod_lattice,
+    smith_normal_form,
+)
 from exactcat.models import fgab, iso_invariants  # noqa: E402
 from exactcat.resolutions import projective_resolution  # noqa: E402
+
+
+@st.composite
+def matrices(draw, max_rows=4, max_cols=4, bound=9, rows=None):
+    rows = draw(st.integers(0, max_rows)) if rows is None else rows
+    cols = draw(st.integers(0, max_cols))
+    entries = draw(st.lists(st.lists(st.integers(-bound, bound), min_size=cols,
+                                     max_size=cols), min_size=rows, max_size=rows))
+    return IntMatrix.from_rows(entries, cols=cols)
+
+
+@st.composite
+def column_operations(draw, a):
+    """A times a product of random elementary column operations."""
+    cols = [list(a.column_at(j)) for j in range(a.cols)]
+    for _ in range(draw(st.integers(0, 6)) if cols else 0):
+        i, j = draw(st.integers(0, a.cols - 1)), draw(st.integers(0, a.cols - 1))
+        kind = draw(st.sampled_from(["swap", "negate", "add"]))
+        if kind == "swap":
+            cols[i], cols[j] = cols[j], cols[i]
+        elif kind == "negate":
+            cols[i] = [-x for x in cols[i]]
+        elif i != j:
+            k = draw(st.integers(-3, 3))
+            cols[i] = [x + k * y for x, y in zip(cols[i], cols[j])]
+    return IntMatrix.from_rows([list(r) for r in zip(*cols)] if cols else [[]] * a.rows,
+                               cols=a.cols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices())
+def test_smith_form_is_a_unimodular_divisibility_chain(a):
+    sympy = pytest.importorskip("sympy")
+    snf = smith_normal_form(a)
+    assert snf.U @ a @ snf.V == snf.D
+    for t in (snf.U, snf.V):
+        assert sympy.Matrix(t.rows, t.cols, [x for r in t.entries for x in r]).det() in (1, -1)
+    diag = snf.diagonal
+    assert all(snf.D.entries[i][j] == 0 for i in range(a.rows) for j in range(a.cols)
+               if i != j)
+    assert all(d >= 0 for d in diag)
+    rank = snf.rank
+    assert all(diag[:rank]) and not any(diag[rank:])
+    assert all(y % x == 0 for x, y in zip(diag[:rank], diag[1:rank]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_column_hnf_is_canonical_and_idempotent(data):
+    a = data.draw(matrices())
+    aw = data.draw(column_operations(a))
+    h = column_hnf(a)
+    assert column_hnf(aw) == h
+    assert column_hnf(h) == h
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_preimage_basis_is_exactly_the_preimage(data):
+    m = data.draw(matrices())
+    g = data.draw(matrices(rows=m.rows))
+    # x0 lies in the preimage because m x0 joins the lattice's generators
+    x0 = data.draw(matrices(max_cols=2, rows=m.cols))
+    g = IntMatrix.hstack(g, m @ x0)
+    basis = preimage_basis(m, g)
+    assert basis.rows == m.cols
+    assert lattice_contains(g, m @ basis)
+    assert reduce_columns_mod_lattice(x0, basis).is_zero()
+    x = data.draw(matrices(max_cols=3, bound=4, rows=m.cols))
+    for j in range(x.cols):
+        col = x.take_columns([j])
+        assert lattice_contains(g, m @ col) == reduce_columns_mod_lattice(col, basis).is_zero()
 
 
 @st.composite

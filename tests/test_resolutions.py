@@ -180,6 +180,23 @@ def test_comparison_random():
         lift_homotopy(l1, l2)
 
 
+def test_compare_lift_into_shorter_truncation_is_precondition():
+    # Z/4 has a length-1 resolution; its length-0 truncation is not exact
+    # at P_0, so the identity has no lift in degree 1
+    z4 = cyclic(4)
+    with pytest.raises(PreconditionError, match="truncated at length 0"):
+        compare_lift(M.identity(z4), projective_resolution(z4),
+                     projective_resolution(z4, max_length=0))
+
+
+def test_compare_lift_into_truncation_as_long_as_the_source():
+    z, z4 = cyclic(0), cyclic(4)
+    f, p, q = mor(z, z4, [[1]]), projective_resolution(z), projective_resolution(z4, max_length=0)
+    assert q.truncated and q.length == 0
+    lift = compare_lift(f, p, q)
+    assert (q.augmentation @ lift.component(0)).same_as(f @ p.augmentation)
+
+
 # -- horseshoe ---------------------------------------------------------------
 
 
@@ -218,6 +235,21 @@ def test_horseshoe_random():
         assert is_acyclic(hs.middle.augmented_complex()) is not None
         for col in hs.columns:
             assert M.is_short_exact(col.i, col.p)
+
+
+def test_horseshoe_refuses_truncated_outer_resolutions():
+    rng = random.Random(3)
+    M.random_ses(rng, B)
+    s = M.random_ses(rng, B)   # its sub needs a resolution of length 1
+    with pytest.raises(PreconditionError, match="p_sub is truncated"):
+        horseshoe(s, projective_resolution(s.sub, max_length=0),
+                  projective_resolution(s.quot))
+    z2, z4 = cyclic(2), cyclic(4)
+    s = ShortExactSequence(mor(z2, z4, [[2]]), mor(z4, z2, [[1]]))
+    with pytest.raises(PreconditionError, match="p_sub is truncated"):
+        horseshoe(s, projective_resolution(z2, max_length=0), projective_resolution(z2))
+    with pytest.raises(PreconditionError, match="p_quot is truncated"):
+        horseshoe(s, projective_resolution(z2), projective_resolution(z2, max_length=0))
 
 
 # -- projective replacement ----------------------------------------------
