@@ -29,8 +29,8 @@ from .documents import (
 )
 from .kernel import ExactCatError, GenBounds, PreconditionError
 from .laws import LAW_SUITES, LawConfig, run_suites
-from .models import cyclic, iso_invariants
-from .resolutions import FunctorSpec, derived, projective_resolution
+from .models import iso_invariants
+from .resolutions import ext_values, projective_resolution, tor_values
 
 SEED_ENV = "EXACTCAT_SEED"
 
@@ -91,18 +91,14 @@ def cmd_resolve(doc: Document, name: str, max_length: int) -> tuple[dict, int]:
 
 def cmd_ext(m: int, n: int, i: int) -> tuple[dict, int]:
     _require_nonnegative("the degree i", i)
-    values = derived(FunctorSpec("hom_into", cyclic(n)), cyclic(m),
-                     max_degree=i).values
-    inv = iso_invariants(values[i])
+    inv = iso_invariants(ext_values(m, n, max_degree=i)[i])
     return {"command": "ext", "m": m, "n": n, "degree": i,
             "invariant_factors": _invariants_json(inv)}, 0
 
 
 def cmd_tor(m: int, n: int, i: int) -> tuple[dict, int]:
     _require_nonnegative("the degree i", i)
-    values = derived(FunctorSpec("tensor", cyclic(n)), cyclic(m),
-                     max_degree=i).values
-    inv = iso_invariants(values[i])
+    inv = iso_invariants(tor_values(m, n, max_degree=i)[i])
     return {"command": "tor", "m": m, "n": n, "degree": i,
             "invariant_factors": _invariants_json(inv)}, 0
 
@@ -294,7 +290,11 @@ def main(argv=None) -> int:
         if args.command == "check":
             seed = args.seed
             if seed is None:
-                seed = int(os.environ.get(SEED_ENV, "0"))
+                raw = os.environ.get(SEED_ENV, "0")
+                try:
+                    seed = int(raw)
+                except ValueError:
+                    raise ParseError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
             report, code = cmd_check(args.model, seed, args.iters,
                                      args.max_gens, args.suite)
         elif args.command == "resolve":

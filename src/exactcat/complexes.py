@@ -1,6 +1,10 @@
 """Bounded chain complexes: cones, translation, strict triangles, homotopy
 solving, acyclicity certificates, homology and quasi-isomorphism tests.
 
+H^n is the model's subquotient of the cycles (the kernel lattice of d^n)
+modulo [d^{n-1} | relations]; induced maps are the coordinates of the
+moved cycle representatives.
+
 Complexes are cochain-indexed (differentials raise degree) on a finite
 window and are zero outside it.  Sign conventions: translation negates the
 differential, and the cone of f: A -> B has degree-n component
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .diagrams import SesMorphism, _factor_through_pushout
-from .intlinalg import IntMatrix, preimage_basis, solve_columns_mod_lattice
+from .intlinalg import IntMatrix
 from .kernel import (
     Analysis,
     BiproductData,
@@ -26,6 +30,7 @@ from .kernel import (
     ShortExactSequence,
     is_short_exact,
 )
+from .models import Subquotient
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,47 +371,26 @@ def _certified(x: ChainComplex, epics: dict[int, MorphismHandle],
 
 
 def homology(x: ChainComplex, n: int) -> ObjectHandle:
-    return _homology_data(x, n).ob
+    return _homology(x, n).ob
 
 
-@dataclass(frozen=True, eq=False)
-class HomologyData:
-    ob: ObjectHandle
-    cycles: IntMatrix       # columns: cycle representatives of the generators
-    degree: int
-    complex: ChainComplex
-
-    def coords_of_cycle(self, v: IntMatrix) -> Optional[IntMatrix]:
-        """Class coordinates of cycle columns, or None if not cycles."""
-        x, n = self.complex, self.degree
-        denom = IntMatrix.hstack(x.differential(n - 1).matrix,
-                                 x.component(n).payload.relations)
-        return solve_columns_mod_lattice(self.cycles, v, denom)
-
-
-def _homology_data(x: ChainComplex, n: int) -> HomologyData:
+def _homology(x: ChainComplex, n: int) -> Subquotient:
+    """H^n as the cycles (kernel lattice of d^n) modulo d^{n-1} and the relations."""
     model = x.model
     if not (model.abelian and model.presented):
         raise PreconditionError("homology objects need an abelian model of presented groups")
-    d_out = x.differential(n)
-    d_in = x.differential(n - 1)
-    kbasis = model._kernel_lattice(d_out)
-    denom = IntMatrix.hstack(d_in.matrix, x.component(n).payload.relations)
-    rel_h = preimage_basis(kbasis, denom)
-    ob, to_raw, _ = model._normalized(kbasis.cols, rel_h)
-    return HomologyData(ob, kbasis @ to_raw, n, x)
+    return model.subquotient(
+        model._kernel_lattice(x.differential(n)),
+        IntMatrix.hstack(x.differential(n - 1).matrix, x.component(n).payload.relations))
 
 
 def homology_induced(f: ChainMap, n: int) -> MorphismHandle:
     """The map on degree-n homology induced by a chain map."""
-    model = f.model
-    src = _homology_data(f.source, n)
-    tgt = _homology_data(f.target, n)
-    moved = f.component(n).matrix @ src.cycles
-    coords = tgt.coords_of_cycle(moved)
+    src, tgt = _homology(f.source, n), _homology(f.target, n)
+    coords = tgt.coords(f.component(n).matrix @ src.gens)
     if coords is None:
         raise InternalCheckError("chain map does not preserve cycles")
-    return model.morphism(src.ob, tgt.ob, coords, check=False)
+    return f.model.morphism(src.ob, tgt.ob, coords, check=False)
 
 
 def is_quasi_iso(f: ChainMap) -> bool:

@@ -41,6 +41,7 @@ from .intlinalg import (
     preimage_basis,
     saturation,
     smith_normal_form,
+    solve_columns_mod_lattice,
     unimodular_inverse,
     _check_prime,
 )
@@ -93,6 +94,20 @@ def normalize_presentation(payload: PresentedObject) -> tuple[PresentedObject, I
         tuple(torsion[j] if i == j else 0 for j in range(len(torsion)))
         for i in range(len(kept))))
     return PresentedObject(len(kept), new_rel), to_raw, from_raw
+
+
+@dataclass(frozen=True, eq=False)
+class Subquotient:
+    """A kernel, image, homology or Hom object: ob is presented on the
+    classes of the columns of gens modulo col(modulus)."""
+
+    ob: ObjectHandle
+    gens: IntMatrix       # column k represents generator k of ob
+    modulus: IntMatrix
+
+    def coords(self, v: IntMatrix) -> Optional[IntMatrix]:
+        """X with gens X = v mod col(modulus), or None if v leaves the span."""
+        return solve_columns_mod_lattice(self.gens, v, self.modulus)
 
 
 @memo
@@ -166,21 +181,23 @@ class PresentedModel(ExactStructureModel):
 
     # -- subobjects and quotients ----------------------------------------
 
-    def _normalized(self, ngens: int, relations: IntMatrix) -> tuple[ObjectHandle, IntMatrix, IntMatrix]:
-        canon, to_raw, from_raw = normalize_presentation(PresentedObject(ngens, relations))
-        return self._obj(canon), to_raw, from_raw
+    def subquotient(self, gens: IntMatrix, modulus: IntMatrix) -> Subquotient:
+        """The group spanned by the columns of gens modulo col(modulus),
+        Smith-canonical: its relations are {x : gens x in col(modulus)}."""
+        rel = preimage_basis(gens, modulus)
+        canon, to_raw, _ = normalize_presentation(PresentedObject(gens.cols, rel))
+        return Subquotient(self._obj(canon), gens @ to_raw, modulus)
 
     def subobject(self, a: ObjectHandle, lattice_basis: IntMatrix) -> MorphismHandle:
         """Monic from the subgroup spanned by the basis columns into a."""
-        rel = preimage_basis(lattice_basis, a.payload.relations)
-        k, to_raw, _ = self._normalized(lattice_basis.cols, rel)
-        return self.morphism(k, a, lattice_basis @ to_raw, check=False)
+        sq = self.subquotient(lattice_basis, a.payload.relations)
+        return self.morphism(sq.ob, a, sq.gens, check=False)
 
     def quotient_by(self, a: ObjectHandle, cols: IntMatrix) -> MorphismHandle:
         """Epic from a onto a / (columns + relations), Smith-canonical."""
-        rel = IntMatrix.hstack(cols, a.payload.relations)
-        c, _, from_raw = self._normalized(a.payload.ngens, rel)
-        return self.morphism(a, c, from_raw, check=False)
+        canon, _, from_raw = normalize_presentation(PresentedObject(
+            a.payload.ngens, IntMatrix.hstack(cols, a.payload.relations)))
+        return self.morphism(a, self._obj(canon), from_raw, check=False)
 
     # -- kernels, cokernels, analysis --------------------------------------
 

@@ -5,7 +5,9 @@ is solved degree by degree against the exactness of the target resolution;
 horseshoes are filled in by lifting the quotient augmentation; and the
 derived functors of tensor/hom functors are homologies of the transformed
 resolution, with the long exact sequence extracted from the degreewise
-split horseshoe columns by an explicit zig-zag.
+split horseshoe columns by an explicit zig-zag.  Hom(A, B) is the model's
+subquotient of the vectorised Hom basis modulo 1 (x) R_B, so the Hom
+functors act by its coordinates, as induced maps on homology do.
 
 Resolutions are stored cohomologically (P_n sits in degree -n) so that all
 chain machinery applies verbatim; the subscript presentation used in the
@@ -31,10 +33,10 @@ from .complexes import (
     homology_induced,
     is_acyclic,
     mapping_cone,
-    _homology_data,
+    _homology,
 )
 from .diagrams import is_exact_pair
-from .intlinalg import IntMatrix, memo, preimage_basis, solve_columns_mod_lattice
+from .intlinalg import IntMatrix, memo, solve_columns_mod_lattice
 from .kernel import (
     InternalCheckError,
     MorphismHandle,
@@ -43,6 +45,7 @@ from .kernel import (
     ShortExactSequence,
     pullback_along_epic,
 )
+from .models import Subquotient, cyclic
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,10 +199,14 @@ def compare_lift(f: MorphismHandle, p: Resolution, q: Resolution,
 
 def lift_homotopy(f1: ChainMap, f2: ChainMap) -> ChainHomotopy:
     """Homotopy between two lifts of the same morphism into an exact target
-    resolution; it exists by the comparison theorem."""
+    resolution; it exists by the comparison theorem.  find_null_homotopy
+    is complete, so when it finds none the theorem's hypotheses fail."""
     h = find_null_homotopy(f1 - f2)
     if h is None:
-        raise InternalCheckError("two lifts of the same morphism must be homotopic")
+        raise PreconditionError(
+            "the two chain maps are not homotopic: the comparison theorem needs two "
+            "lifts of one morphism into a target resolution that is exact one degree "
+            "beyond the source")
     return h
 
 
@@ -354,38 +361,13 @@ def projective_replacement(x: ChainComplex, max_extra: int = 8,
 # -- functors ------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class HomStructure:
-    """Presentation of Hom(src, dst) with matrix generators."""
-
-    src: ObjectHandle
-    dst: ObjectHandle
-    ob: ObjectHandle
-    basis: IntMatrix      # (n_dst * n_src) x ngens(ob), columnwise-vec'd
-
-    def gen_matrix(self, k: int) -> IntMatrix:
-        nd = self.dst.payload.ngens
-        ns = self.src.payload.ngens
-        col = self.basis.column_at(k)
-        return IntMatrix(nd, ns, tuple(tuple(col[j * nd + i] for j in range(ns))
-                                       for i in range(nd)))
-
-    def coords(self, vecs: IntMatrix) -> Optional[IntMatrix]:
-        """Hom-object coordinates of columnwise-vec'd morphism matrices."""
-        nmat = IntMatrix.kron(IntMatrix.identity(self.src.payload.ngens),
-                              self.dst.payload.relations)
-        return solve_columns_mod_lattice(self.basis, vecs, nmat)
-
-
 @memo
-def hom_structure(src: ObjectHandle, dst: ObjectHandle) -> HomStructure:
-    model = src.model
-    ns = src.payload.ngens
-    k = model._hom_basis(src.payload, dst.payload)
-    nmat = IntMatrix.kron(IntMatrix.identity(ns), dst.payload.relations)
-    rel = preimage_basis(k, nmat) if k.cols else IntMatrix.zeros(0, 0)
-    ob, to_raw, _ = model._normalized(k.cols, rel)
-    return HomStructure(src, dst, ob, k @ to_raw)
+def hom_structure(src: ObjectHandle, dst: ObjectHandle) -> Subquotient:
+    """Hom(src, dst) on the columnwise-vec'd matrices that respect the
+    relations, X_ij at j * n_dst + i, modulo those into the relations of dst."""
+    return src.model.subquotient(
+        src.model._hom_basis(src.payload, dst.payload),
+        IntMatrix.kron(IntMatrix.identity(src.payload.ngens), dst.payload.relations))
 
 
 @dataclass(frozen=True)
@@ -455,7 +437,7 @@ class FunctorSpec:
         else:
             hs_dom, hs_cod = hom_structure(f.cod, t), hom_structure(f.dom, t)
             act = IntMatrix.kron(f.matrix.transpose(), one)
-        coords = hs_cod.coords(act @ hs_dom.basis)
+        coords = hs_cod.coords(act @ hs_dom.gens)
         if coords is None:
             raise InternalCheckError("hom functor action is not defined")
         return model.morphism(hs_dom.ob, hs_cod.ob, coords, check=False)
@@ -506,21 +488,20 @@ def _connecting_map(inj: ChainMap, proj: ChainMap, sections: dict[int, MorphismH
     split short exact sequence of complexes."""
     model = inj.model
     mid = inj.target
-    quot_data = _homology_data(proj.target, n)
-    sub_data = _homology_data(inj.source, n + 1)
+    quot_h, sub_h = _homology(proj.target, n), _homology(inj.source, n + 1)
     section = sections.get(n) or model.zero_morphism(proj.target.component(n),
                                                      mid.component(n))
-    lifted = section.matrix @ quot_data.cycles
+    lifted = section.matrix @ quot_h.gens
     moved = mid.differential(n).matrix @ lifted
     # moved lands in the image of inj degreewise; pull it back columnwise
     v = solve_columns_mod_lattice(inj.component(n + 1).matrix, moved,
                                   mid.component(n + 1).payload.relations)
     if v is None:
         raise InternalCheckError("zig-zag lift through the subcomplex is missing")
-    coords = sub_data.coords_of_cycle(v)
+    coords = sub_h.coords(v)
     if coords is None:
         raise InternalCheckError("zig-zag image is not a cycle")
-    return model.morphism(quot_data.ob, sub_data.ob, coords, check=True)
+    return model.morphism(quot_h.ob, sub_h.ob, coords, check=True)
 
 
 def derived_les(functor: FunctorSpec, s: ShortExactSequence,
@@ -587,12 +568,10 @@ def derived_les(functor: FunctorSpec, s: ShortExactSequence,
 
 
 def tor_values(m: int, n: int, max_degree: int = 1) -> dict[int, ObjectHandle]:
-    from .models import cyclic
     f = FunctorSpec("tensor", cyclic(n))
     return derived(f, cyclic(m), max_degree=max_degree).values
 
 
 def ext_values(m: int, n: int, max_degree: int = 1) -> dict[int, ObjectHandle]:
-    from .models import cyclic
     f = FunctorSpec("hom_into", cyclic(n))
     return derived(f, cyclic(m), max_degree=max_degree).values

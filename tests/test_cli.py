@@ -80,6 +80,13 @@ def test_exit_code_parse_error(tmp_path):
     assert code == 2
 
 
+def test_malformed_seed_variable_is_exit_2(monkeypatch, capsys):
+    monkeypatch.setenv("EXACTCAT_SEED", "abc")
+    code, _ = run_cli("check", "--iters", "0")
+    assert code == 2
+    assert "EXACTCAT_SEED" in capsys.readouterr().err
+
+
 def test_exit_code_precondition(tmp_path):
     # quasi-iso-style gating: snake on a non-WIC-flagged model is exit 3;
     # here: complete with a non-idempotent morphism

@@ -197,6 +197,19 @@ def test_compare_lift_into_truncation_as_long_as_the_source():
     assert (q.augmentation @ lift.component(0)).same_as(f @ p.augmentation)
 
 
+def test_lifts_into_a_short_truncation_are_not_homotopic():
+    # both lifts exist, but the truncated target is not exact one degree
+    # beyond the source, so their difference (a multiple of 4) has no homotopy
+    z, z4 = cyclic(0), cyclic(4)
+    f, p, q = mor(z, z4, [[1]]), projective_resolution(z), projective_resolution(z4, max_length=0)
+    rng = random.Random(5)
+    l1, l2 = compare_lift(f, p, q, rng=rng), compare_lift(f, p, q, rng=rng)
+    assert not (l1 - l2).is_zero()
+    with pytest.raises(PreconditionError, match="two lifts of one morphism.*exact one "
+                       "degree beyond the source"):
+        lift_homotopy(l1, l2)
+
+
 # -- horseshoe ---------------------------------------------------------------
 
 
@@ -513,6 +526,14 @@ def test_functor_variance_facts():
         assert (second @ first).is_zero()
 
 
+def hom_generator(hs, src, dst, k):
+    """Generator k of Hom(src, dst) as a matrix: column k of hs.gens un-vec'd."""
+    nd, ns = dst.payload.ngens, src.payload.ngens
+    col = hs.gens.column_at(k)
+    return IntMatrix(nd, ns, tuple(tuple(col[j * nd + i] for j in range(ns))
+                                   for i in range(nd)))
+
+
 @pytest.mark.parametrize("variant", ["hom_from", "hom_into"])
 def test_hom_action_matches_generatorwise_composites(variant):
     # the Kronecker action on the vec'd basis equals composing with each
@@ -526,13 +547,13 @@ def test_hom_action_matches_generatorwise_composites(variant):
             got = functor.apply_morphism(f)
             if variant == "hom_from":
                 hs_dom, hs_cod = hom_structure(t, a), hom_structure(t, b)
-                mats = [f.matrix @ hs_dom.gen_matrix(k)
+                mats = [f.matrix @ hom_generator(hs_dom, t, a, k)
                         for k in range(hs_dom.ob.payload.ngens)]
             else:
                 hs_dom, hs_cod = hom_structure(b, t), hom_structure(a, t)
-                mats = [hs_dom.gen_matrix(k) @ f.matrix
+                mats = [hom_generator(hs_dom, b, t, k) @ f.matrix
                         for k in range(hs_dom.ob.payload.ngens)]
-            nrows = hs_cod.dst.payload.ngens * hs_cod.src.payload.ngens
+            nrows = hs_cod.gens.rows
             vecs = IntMatrix(nrows, len(mats), tuple(
                 tuple(m.entries[r % m.rows][r // m.rows] for m in mats)
                 for r in range(nrows)))
@@ -570,7 +591,7 @@ def test_hom_structure_concrete():
     # Hom(Z/4, Z/6) is cyclic of order 2, generated by 1 |-> 3
     hs = hom_structure(cyclic(4), cyclic(6))
     assert invs(hs.ob) == (0, (2,))
-    gen = hs.gen_matrix(0)
+    gen = hom_generator(hs, cyclic(4), cyclic(6), 0)
     assert gen.entries[0][0] % 6 in (3,)
 
 
