@@ -8,12 +8,11 @@ verifies the axioms on generated instances.
 
 from .intlinalg import (
     IntMatrix,
-    Lattice,
     SmithDecomposition,
-    lattice_membership,
+    lattice_contains,
     smith_normal_form,
+    solve_columns_mod_lattice,
     solve_integer,
-    solve_mod_lattice,
 )
 from .kernel import (
     Analysis,

@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run law suites on a model")
     p.add_argument("--model", default="fgab",
                    help="fgab, fgab_split, vect:p, free_exact, free_split, "
-                        "even_rank_split, completion:<base>")
+                        "even_rank_split, completion:<model name>")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--max-gens", type=int, default=4)

@@ -141,11 +141,8 @@ class CompletedModel(ExactStructureModel):
         if payload.idem == one:
             data = SplitData(host, one, one)
         else:
-            p = target.morphism(host, host, payload.idem, check=False)
-            mono = target.subobject(host, target._image_lattice(p))
-            ret = target.solve_right_factor(mono, p)
-            if ret is None:
-                raise InternalCheckError("idempotent image retraction is missing")
+            ret, mono = target._image_factorisation(
+                target.morphism(host, host, payload.idem, check=False))
             data = SplitData(mono.dom, mono.matrix, ret.matrix)
         if len(self._splits) >= CACHE_SIZE:
             del self._splits[next(iter(self._splits))]

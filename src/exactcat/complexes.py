@@ -68,8 +68,9 @@ def chain_complex(model, lo: int, components, differentials,
                   check: bool = True) -> ChainComplex:
     components = tuple(components)
     differentials = tuple(differentials)
-    if components and len(differentials) != len(components) - 1:
-        raise PreconditionError("a window of k objects carries k-1 differentials")
+    if len(differentials) != max(len(components) - 1, 0):
+        raise PreconditionError("a window of k objects carries k-1 differentials, "
+                                "and an empty window none")
     x = ChainComplex(model, lo, components, differentials)
     if check:
         for n, d in zip(range(lo, x.hi), differentials):

@@ -115,13 +115,17 @@ def model_from_descriptor(desc) -> ExactStructureModel:
 
 
 def parse_model_name(name: str) -> ExactStructureModel:
-    """Command-line model names: fgab, vect:5, completion:even_rank_split."""
-    if name.startswith("vect:"):
-        return model_from_descriptor({"kind": "vect", "p": decode_int(name.split(":", 1)[1])})
-    if name.startswith("completion:"):
-        return model_from_descriptor({"kind": "completion",
-                                      "base": name.split(":", 1)[1]})
-    return model_from_descriptor(name)
+    """Command-line model names: fgab, vect:5 and completion:<model name>,
+    which nests like the document descriptor (and is refused the same way)."""
+    depth = 0
+    while name.startswith("completion:"):   # a loop, so no prefix count recurses
+        name, depth = name[len("completion:"):], depth + 1
+    desc = {"kind": "vect", "p": decode_int(name[len("vect:"):])} \
+        if name.startswith("vect:") else name
+    model = model_from_descriptor(desc)
+    for _ in range(depth):
+        model = complete(model)
+    return model
 
 
 # -- handles ---------------------------------------------------------------
@@ -300,6 +304,9 @@ def document_from_jsonable(data) -> Document:
             comps, dms = lit.get("components", []), lit.get("differentials", [])
             if not (isinstance(comps, list) and isinstance(dms, list)):
                 raise ParseError(f"complex {name!r} needs component and differential lists")
+            if len(dms) != max(len(comps) - 1, 0):
+                raise ParseError(f"complex {name!r} has {len(comps)} components, so it needs "
+                                 f"{max(len(comps) - 1, 0)} differentials, not {len(dms)}")
             comps = [_resolve(doc.objects, c, "object") for c in comps]
             lo = decode_int(lit.get("lo", 0))
             diffs = []

@@ -582,36 +582,6 @@ def solve_integer(a: IntMatrix, b: Sequence[int] | IntMatrix) -> Optional[tuple[
     return _solver(a).solve(tuple(b))
 
 
-@dataclass(frozen=True)
-class Lattice:
-    """Sublattice of Z^ambient_rank spanned by the generator columns."""
-
-    ambient_rank: int
-    generators: IntMatrix
-
-    def __post_init__(self) -> None:
-        if self.generators.rows != self.ambient_rank:
-            raise DimensionMismatch("lattice generators live in the wrong ambient rank")
-
-    @staticmethod
-    def spanned_by(generators: IntMatrix) -> "Lattice":
-        return Lattice(generators.rows, generators)
-
-    def basis(self) -> IntMatrix:
-        return column_hnf(self.generators)
-
-    def rank(self) -> int:
-        return self.basis().cols
-
-
-def lattice_membership(v: Sequence[int] | IntMatrix, lattice: Lattice) -> bool:
-    """True iff v is an integer combination of the lattice generators."""
-    col = v if isinstance(v, IntMatrix) else _from_columns(len(v), [v])
-    if col.cols != 1 or col.rows != lattice.ambient_rank:
-        raise DimensionMismatch("membership expects one column in the lattice ambient")
-    return lattice_contains(lattice.generators, col)
-
-
 def lattice_contains(outer: IntMatrix, inner: IntMatrix) -> bool:
     """True iff every column of ``inner`` lies in the column lattice of ``outer``."""
     if outer.rows != inner.rows:
@@ -621,26 +591,6 @@ def lattice_contains(outer: IntMatrix, inner: IntMatrix) -> bool:
 
 def lattice_equal(a: IntMatrix, b: IntMatrix) -> bool:
     return column_hnf(a) == column_hnf(b)
-
-
-def solve_mod_lattice(a: IntMatrix, b: Sequence[int] | IntMatrix,
-                      lattice: Lattice) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Solve a @ x = b modulo the lattice.
-
-    Returns (x, y) with a @ x + G @ y = b exactly, where G generates the
-    lattice, or None when no solution exists.
-    """
-    if isinstance(b, IntMatrix):
-        if b.cols != 1:
-            raise DimensionMismatch("right-hand side must be a column")
-        b = b.column_at(0)
-    if lattice.ambient_rank != a.rows:
-        raise DimensionMismatch("lattice ambient rank must equal the row count")
-    aug = IntMatrix.hstack(a, lattice.generators)
-    sol = _solver(aug).solve(tuple(b))
-    if sol is None:
-        return None
-    return sol[:a.cols], sol[a.cols:]
 
 
 def solve_columns_mod_lattice(a: IntMatrix, b: IntMatrix, lattice_gens: IntMatrix,

@@ -49,6 +49,7 @@ from .kernel import (
     Analysis,
     ExactStructureModel,
     GenBounds,
+    InternalCheckError,
     IsoInvariants,
     MorphismHandle,
     ObjectAbsent,
@@ -213,17 +214,26 @@ class PresentedModel(ExactStructureModel):
         except ObjectAbsent:
             return None
 
+    def _image_factorisation(self, f: MorphismHandle) -> tuple[MorphismHandle, MorphismHandle]:
+        """(e, m) with f = m e and m the monic from the image of f: e sends
+        each generator to the coordinates of its image in the image
+        subquotient.  m is monic, so e is unique; ``morphism`` stores it
+        canonically."""
+        sq = self.subquotient(self._image_lattice(f), f.cod.payload.relations)
+        x = sq.coords(f.matrix)
+        if x is None:
+            raise InternalCheckError("the image subquotient misses a column of the arrow")
+        return (self.morphism(f.dom, sq.ob, x, check=False),
+                self.morphism(sq.ob, f.cod, sq.gens, check=False))
+
     def _analyze(self, f: MorphismHandle) -> Optional[Analysis]:
         k = self.kernel(f)
         c = self.cokernel(f)
         if k is None or c is None:
             return None
         try:
-            m = self.subobject(f.cod, self._image_lattice(f))
+            e, m = self._image_factorisation(f)
         except ObjectAbsent:
-            return None
-        e = self.solve_right_factor(m, f)
-        if e is None:
             return None
         return Analysis(k, e, m, c)
 

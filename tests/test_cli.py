@@ -12,6 +12,8 @@ from exactcat.documents import (
     document_from_jsonable,
     document_to_jsonable,
     load_document,
+    model_from_descriptor,
+    parse_model_name,
 )
 from exactcat.intlinalg import PRIMALITY_BOUND
 
@@ -197,6 +199,42 @@ def test_over_deep_document_is_exit_2(tmp_path, capsys):
     code, _ = run_cli("resolve", str(path), "Z")
     assert code == 2
     assert "nests too deeply" in capsys.readouterr().err
+
+
+def test_completion_model_name_reads_its_base_as_a_model_name():
+    code, out = run_cli("--json", "check", "--model", "completion:vect:5",
+                        "--suite", "obscure", "--iters", "0")
+    assert code == 0
+    assert json.loads(out)["model"] == {"kind": "completion",
+                                        "base": {"kind": "vect", "p": 5}}
+    assert parse_model_name("completion:vect:5") is \
+        model_from_descriptor({"kind": "completion", "base": {"kind": "vect", "p": 5}})
+
+
+def test_nested_completion_model_name_is_exit_3(capsys):
+    code, out = run_cli("check", "--model", "completion:completion:fgab", "--iters", "0")
+    assert code == 3 and out == ""
+    assert "completions do not nest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("components,differentials", [
+    ([], ["f"]),
+    (["Z", "Z"], []),
+    (["Z", "Z"], [{"rows": 1, "cols": 1, "entries": [[2]]}] * 2),
+], ids=["empty_window", "too_few", "too_many_literals"])
+def test_differential_count_is_a_parse_error(components, differentials, tmp_path, capsys):
+    doc = {"version": "exactcat/1",
+           "objects": {"Z": {"ngens": 1, "relations": {"rows": 1, "cols": 0, "entries": [[]]}}},
+           "morphisms": {"f": {"dom": "Z", "cod": "Z",
+                               "matrix": {"rows": 1, "cols": 1, "entries": [[2]]}}},
+           "complexes": {"X": {"lo": 0, "components": components,
+                               "differentials": differentials}}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run_cli("homology", str(path), "X")
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: complex 'X'") and "differentials" in err
 
 
 def test_vect_modulus_errors(capsys):

@@ -65,6 +65,15 @@ def test_d_squared_validated():
                       [mor(z, z, [[1]]), mor(z, z, [[1]])])
 
 
+def test_differential_count_checked_for_every_window():
+    z = cyclic(0)
+    one = M.identity(z)
+    for comps, diffs in [([], [one]), ([z, z], []), ([z, z], [one, one])]:
+        with pytest.raises(PreconditionError, match="k-1 differentials"):
+            chain_complex(M, 0, comps, diffs, check=False)
+    assert chain_complex(M, 0, [], []).components == ()
+
+
 def test_cone_of_zero_map_from_zero():
     b = z_scalar_complex(2)
     f = zero_chain_map(chain_complex(M, 0, [], []), b)

@@ -6,7 +6,6 @@ from exactcat.documents import ParseError, matrix_from_json
 from exactcat.intlinalg import (
     DimensionMismatch,
     IntMatrix,
-    Lattice,
     MatrixEquationSystem,
     PRIMALITY_BOUND,
     _check_prime,
@@ -16,14 +15,12 @@ from exactcat.intlinalg import (
     kernel_basis,
     lattice_contains,
     lattice_equal,
-    lattice_membership,
     preimage_basis,
     reduce_columns_mod_lattice,
     saturation,
     smith_normal_form,
     solve_integer,
     solve_columns_mod_lattice,
-    solve_mod_lattice,
     solve_rows_mod_lattice,
     unimodular_inverse,
 )
@@ -149,20 +146,19 @@ def test_solve_no_solution_has_obstruction():
 
 
 def test_solve_mod_lattice_examples():
+    # one column of solve_columns_mod_lattice solves a x = b modulo a lattice
     one = IntMatrix.from_rows([[1]])
-    lat3 = Lattice.spanned_by(IntMatrix.from_rows([[3]]))
-    res = solve_mod_lattice(one, [5], lat3)
-    assert res is not None
-    x, y = res
-    assert (x[0] - 5) % 3 == 0
+    lat3 = IntMatrix.from_rows([[3]])
+    x = solve_columns_mod_lattice(one, IntMatrix.from_rows([[5]]), lat3)
+    assert x is not None
+    assert (x.entries[0][0] - 5) % 3 == 0
 
     two = IntMatrix.from_rows([[2]])
-    lat4 = Lattice.spanned_by(IntMatrix.from_rows([[4]]))
-    assert solve_mod_lattice(two, [1], lat4) is None
+    lat4 = IntMatrix.from_rows([[4]])
+    assert solve_columns_mod_lattice(two, IntMatrix.from_rows([[1]]), lat4) is None
 
     zero = IntMatrix.zeros(1, 1)
-    res = solve_mod_lattice(zero, [0], lat4)
-    assert res is not None
+    assert solve_columns_mod_lattice(zero, IntMatrix.zeros(1, 1), lat4) is not None
 
 
 def test_solve_mod_lattice_brute_force():
@@ -177,14 +173,11 @@ def test_solve_mod_lattice_brute_force():
         gl = IntMatrix.from_rows(
             [[rng.randint(-4, 4) for _ in range(g)] for _ in range(n)], cols=g)
         b = [rng.randint(-4, 4) for _ in range(n)]
-        lat = Lattice.spanned_by(gl)
-        res = solve_mod_lattice(a, b, lat)
-        if res is not None:
-            x, y = res
-            for i in range(n):
-                total = sum(a.entries[i][j] * x[j] for j in range(m))
-                total += sum(gl.entries[i][j] * y[j] for j in range(g))
-                assert total == b[i]
+        x = solve_columns_mod_lattice(a, IntMatrix.from_rows([[v] for v in b]), gl)
+        if x is not None:
+            residual = [b[i] - sum(a.entries[i][j] * x.entries[j][0] for j in range(m))
+                        for i in range(n)]
+            assert solve_integer(gl, residual) is not None
         else:
             # brute force over a box that must contain a solution for these bounds
             found = False
@@ -200,10 +193,9 @@ def test_solve_mod_lattice_brute_force():
 
 
 def test_lattice_membership_examples():
-    assert lattice_membership([6], Lattice.spanned_by(IntMatrix.from_rows([[3]])))
-    assert not lattice_membership([2], Lattice.spanned_by(IntMatrix.from_rows([[4]])))
-    full = Lattice.spanned_by(IntMatrix.identity(2))
-    assert lattice_membership([1, 1], full)
+    assert lattice_contains(IntMatrix.from_rows([[3]]), IntMatrix.from_rows([[6]]))
+    assert not lattice_contains(IntMatrix.from_rows([[4]]), IntMatrix.from_rows([[2]]))
+    assert lattice_contains(IntMatrix.identity(2), IntMatrix.from_rows([[1], [1]]))
 
 
 def test_kernel_basis():
@@ -234,7 +226,7 @@ def test_column_hnf_canonical():
 def test_saturation():
     a = IntMatrix.from_rows([[2], [4]])
     s = saturation(a)
-    assert lattice_membership([1, 2], Lattice.spanned_by(s))
+    assert lattice_contains(s, IntMatrix.from_rows([[1], [2]]))
     assert s.cols == 1
 
 
@@ -752,18 +744,16 @@ def test_lattice_membership_matches_solve_integer():
         if trial % 2:
             v = v + _rand(rng, gens.rows, 1, 1)
         expected = solve_integer(gens, v) is not None
-        lattice = Lattice.spanned_by(gens)
-        assert lattice_membership(v, lattice) == expected
-        assert lattice_membership(list(v.column_at(0)), lattice) == expected
+        assert lattice_contains(gens, v) == expected
+        assert lattice_contains(column_hnf(gens), v) == expected
         outcomes.add(expected)
     assert outcomes == {True, False}
     assert _shape_coverage(seen) == {"0-row", "0-col", "deficient", "full"}
-    empty = Lattice.spanned_by(IntMatrix.zeros(2, 0))
-    assert lattice_membership([0, 0], empty) and not lattice_membership([0, 1], empty)
+    empty = IntMatrix.zeros(2, 0)
+    assert lattice_contains(empty, IntMatrix.zeros(2, 1))
+    assert not lattice_contains(empty, IntMatrix.from_rows([[0], [1]]))
     with pytest.raises(ValueError):
-        lattice_membership([1], empty)
-    with pytest.raises(ValueError):
-        lattice_membership(IntMatrix.zeros(2, 2), empty)
+        lattice_contains(empty, IntMatrix.zeros(1, 1))
 
 
 def test_public_constructors_still_reject_ragged_grids():

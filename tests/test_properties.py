@@ -1,5 +1,7 @@
 """Property tests with shrinking; they need hypothesis and skip without it."""
 
+import random
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -15,15 +17,17 @@ from exactcat.intlinalg import (  # noqa: E402
     preimage_basis,
     reduce_columns_mod_lattice,
     smith_normal_form,
+    solve_columns_mod_lattice,
+    solve_rows_mod_lattice,
 )
 from exactcat.models import fgab, iso_invariants  # noqa: E402
 from exactcat.resolutions import projective_resolution  # noqa: E402
 
 
 @st.composite
-def matrices(draw, max_rows=4, max_cols=4, bound=9, rows=None):
+def matrices(draw, max_rows=4, max_cols=4, bound=9, rows=None, cols=None):
     rows = draw(st.integers(0, max_rows)) if rows is None else rows
-    cols = draw(st.integers(0, max_cols))
+    cols = draw(st.integers(0, max_cols)) if cols is None else cols
     entries = draw(st.lists(st.lists(st.integers(-bound, bound), min_size=cols,
                                      max_size=cols), min_size=rows, max_size=rows))
     return IntMatrix.from_rows(entries, cols=cols)
@@ -119,3 +123,68 @@ def test_resolution_certificate_verifies_and_agrees_with_is_acyclic(a):
     assert cert is not None and oracle is not None
     for n in range(x.lo, x.hi + 2):
         assert iso_invariants(cert.z_object(n)) == iso_invariants(oracle.z_object(n))
+
+
+@st.composite
+def planted_map(draw, dom_gens, cod_gens, cod_rel):
+    """(X0, dom_rel): a random X0 and, when drawn, relations it carries into
+    col(cod_rel), spanned by part of the preimage of col(cod_rel) under X0."""
+    x0 = draw(matrices(bound=4, rows=cod_gens, cols=dom_gens))
+    if not draw(st.booleans()):
+        return x0, None
+    pre = preimage_basis(x0, cod_rel)
+    dom_rel = pre @ draw(matrices(max_cols=3, bound=3, rows=pre.cols))
+    assert lattice_contains(cod_rel, x0 @ dom_rel)
+    return x0, dom_rel
+
+
+@st.composite
+def right_hand_side(draw, planted, modulus):
+    """planted + a lattice vector, moved off the solution set when drawn."""
+    c = planted + modulus @ draw(matrices(bound=3, rows=modulus.cols, cols=planted.cols))
+    exact = draw(st.booleans())
+    if not exact:
+        c = c + draw(matrices(bound=2, rows=c.rows, cols=c.cols))
+    return c, exact
+
+
+def _rng(data):
+    return random.Random(data.draw(st.integers(0, 2**16))) if data.draw(st.booleans()) else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_solve_columns_mod_lattice_is_sound_and_finds_planted_solutions(data):
+    # a X = b mod col(lattice), X carrying col(dom_rel) into col(cod_rel)
+    a = data.draw(matrices(max_rows=3, max_cols=3, bound=5))
+    lattice = data.draw(matrices(max_cols=3, bound=5, rows=a.rows))
+    cod_rel = data.draw(matrices(max_cols=2, bound=4, rows=a.cols)) \
+        if data.draw(st.booleans()) else None
+    x0, dom_rel = data.draw(planted_map(data.draw(st.integers(0, 3)), a.cols,
+                                        cod_rel if cod_rel is not None
+                                        else IntMatrix.zeros(a.cols, 0)))
+    b, exact = data.draw(right_hand_side(a @ x0, lattice))
+    x = solve_columns_mod_lattice(a, b, lattice, dom_rel=dom_rel, cod_rel=cod_rel,
+                                  rng=_rng(data))
+    assert x is not None or not exact
+    if x is not None:
+        assert lattice_contains(lattice, a @ x - b)
+        if dom_rel is not None:
+            target = cod_rel if cod_rel is not None else IntMatrix.zeros(a.cols, 0)
+            assert lattice_contains(target, x @ dom_rel)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_solve_rows_mod_lattice_is_sound_and_finds_planted_solutions(data):
+    # X r = c mod col(lattice), X carrying col(dom_rel) into col(lattice)
+    r = data.draw(matrices(max_rows=3, max_cols=3, bound=5))
+    lattice = data.draw(matrices(max_rows=3, max_cols=3, bound=5))
+    x0, dom_rel = data.draw(planted_map(r.rows, lattice.rows, lattice))
+    c, exact = data.draw(right_hand_side(x0 @ r, lattice))
+    x = solve_rows_mod_lattice(r, c, lattice, dom_rel=dom_rel, rng=_rng(data))
+    assert x is not None or not exact
+    if x is not None:
+        assert lattice_contains(lattice, x @ r - c)
+        if dom_rel is not None:
+            assert lattice_contains(lattice, x @ dom_rel)

@@ -1,14 +1,17 @@
-"""One subquotient recipe behind subobjects, homology objects and Hom objects.
+"""One subquotient recipe behind subobjects, images, homology objects and
+Hom objects.
 
 The oracles below are the separate recipes each caller used to write out:
 preimage lattice, Smith normalisation, generators lifted through to_raw,
-and coordinates solved modulo the same lattice.
+and coordinates solved modulo the same lattice; and, for images, the
+coimage epic found by the general factor solver.
 """
 
 import random
 
 import pytest
 
+from exactcat.completion import SplitData, complete
 from exactcat.complexes import (
     chain_complex,
     chain_map,
@@ -18,8 +21,17 @@ from exactcat.complexes import (
     strict_triangle,
 )
 from exactcat.intlinalg import IntMatrix, preimage_basis, solve_columns_mod_lattice
-from exactcat.kernel import GenBounds
-from exactcat.models import PresentedObject, cyclic, fgab, normalize_presentation
+from exactcat.kernel import Analysis, GenBounds, ObjectAbsent
+from exactcat.models import (
+    PresentedModel,
+    PresentedObject,
+    cyclic,
+    even_rank_split,
+    fgab,
+    free_split,
+    iso_invariants,
+    normalize_presentation,
+)
 from exactcat.resolutions import FunctorSpec, hom_structure
 
 M = fgab()
@@ -38,6 +50,33 @@ def _oracle_subobject(model, a, lattice_basis):
     rel = preimage_basis(lattice_basis, a.payload.relations)
     k, to_raw = _oracle_normalized(model, lattice_basis.cols, rel)
     return model.morphism(k, a, lattice_basis @ to_raw, check=False)
+
+
+def _oracle_analyze(model, f):
+    """PresentedModel._analyze with the image monic from subobject and the
+    coimage epic from solve_right_factor."""
+    k, c = model.kernel(f), model.cokernel(f)
+    if k is None or c is None:
+        return None
+    try:
+        m = _oracle_subobject(model, f.cod, model._image_lattice(f))
+    except ObjectAbsent:
+        return None
+    e = model.solve_right_factor(m, f)
+    return None if e is None else Analysis(k, e, m, c)
+
+
+def _oracle_split(model, a):
+    """CompletedModel._split without its cache: a pair other than (A, 1)
+    splits through the image of p, retracted by the factor of p through it."""
+    target, payload = model.target, a.payload
+    host = target._obj(payload.base.payload)
+    one = IntMatrix.identity(payload.idem.rows)
+    if payload.idem == one:
+        return SplitData(host, one, one)
+    p = target.morphism(host, host, payload.idem, check=False)
+    mono = _oracle_subobject(target, host, target._image_lattice(p))
+    return SplitData(mono.dom, mono.matrix, target.solve_right_factor(mono, p).matrix)
 
 
 def _oracle_homology(x, n):
@@ -154,3 +193,43 @@ def test_zero_hom_objects(src, dst, vec_rows):
     if vec_rows:
         # 1 -> 1 is no homomorphism Z/2 -> Z
         assert hs.coords(IntMatrix.from_rows([[1]])) is None
+
+
+def test_analyze_matches_the_separate_recipe(monkeypatch):
+    # the presented models among test_complexes.ORACLE_MODELS; the split
+    # and free analyses wrap PresentedModel._analyze, so patching it there
+    # gives each model's analysis as it was computed before
+    rng = random.Random(190)
+    rejected = torsion = 0
+    for model in (fgab(), free_split(), even_rank_split()):
+        arrows = []
+        for _ in range(30):
+            a, b = model.random_object(rng, B), model.random_object(rng, B)
+            arrows += [model.random_morphism(rng, a, b), model.random_admissible(rng, B)]
+        got = [model._analyze(f) for f in arrows]
+        with monkeypatch.context() as mp:
+            mp.setattr(PresentedModel, "_analyze", _oracle_analyze)
+            want = [model._analyze(f) for f in arrows]
+        for g, w in zip(got, want):
+            assert (g is None) == (w is None)
+            if g is None:
+                rejected += 1
+                continue
+            for part in ("kernel_arrow", "coimage_epic", "image_monic", "cokernel_arrow"):
+                assert _same_morphism(getattr(g, part), getattr(w, part))
+            torsion += bool(iso_invariants(g.image_monic.dom).torsion_factors)
+    assert rejected and torsion
+
+
+@pytest.mark.parametrize("base", [even_rank_split(), fgab()], ids=lambda m: m.model_id)
+def test_split_matches_the_separate_recipe(base):
+    model = complete(base)
+    rng = random.Random(191)
+    proper = 0
+    for _ in range(40):
+        a = model.random_object(rng, B)
+        got, want = model._split(a), _oracle_split(model, a)
+        assert (got.target.payload, got.monic, got.retract) == \
+            (want.target.payload, want.monic, want.retract)
+        proper += got.monic.rows != got.monic.cols
+    assert proper
