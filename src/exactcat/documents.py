@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .completion import CompletedModel, CompletionObject, complete
 from .complexes import ChainComplex, ChainMap, chain_complex
@@ -157,43 +156,38 @@ def object_from_json(v, model: ExactStructureModel) -> ObjectHandle:
     return model.object(ngens, rel)
 
 
-def morphism_to_json(f: MorphismHandle, names: Optional[dict] = None) -> dict:
-    out = {"matrix": matrix_to_json(f.matrix)}
-    if names and f.dom in names and f.cod in names:
-        out["dom"], out["cod"] = names[f.dom], names[f.cod]
-    else:
-        out["dom"] = object_to_json(f.dom)
-        out["cod"] = object_to_json(f.cod)
-    return out
+def morphism_to_json(f: MorphismHandle) -> dict:
+    return {"matrix": matrix_to_json(f.matrix),
+            "dom": object_to_json(f.dom), "cod": object_to_json(f.cod)}
 
 
-def jsonable(value, names: Optional[dict] = None):
+def jsonable(value):
     """Best-effort canonical JSON encoding of harness values (witnesses)."""
     if isinstance(value, IntMatrix):
         return matrix_to_json(value)
     if isinstance(value, ObjectHandle):
         return object_to_json(value)
     if isinstance(value, MorphismHandle):
-        return morphism_to_json(value, names)
+        return morphism_to_json(value)
     if isinstance(value, ShortExactSequence):
-        return {"i": jsonable(value.i, names), "p": jsonable(value.p, names)}
+        return {"i": jsonable(value.i), "p": jsonable(value.p)}
     if isinstance(value, SesMorphism):
-        return {"source": jsonable(value.source, names),
-                "target": jsonable(value.target, names),
-                "a": jsonable(value.a, names), "b": jsonable(value.b, names),
-                "c": jsonable(value.c, names)}
+        return {"source": jsonable(value.source),
+                "target": jsonable(value.target),
+                "a": jsonable(value.a), "b": jsonable(value.b),
+                "c": jsonable(value.c)}
     if isinstance(value, ChainComplex):
-        return {"lo": value.lo, "components": jsonable(value.components, names),
-                "differentials": jsonable(value.differentials, names)}
+        return {"lo": value.lo, "components": jsonable(value.components),
+                "differentials": jsonable(value.differentials)}
     if isinstance(value, ChainMap):
-        return {"source": jsonable(value.source, names),
-                "target": jsonable(value.target, names),
-                "comps": jsonable(value.comps, names)}
+        return {"source": jsonable(value.source),
+                "target": jsonable(value.target),
+                "comps": jsonable(value.comps)}
     if isinstance(value, dict):
-        return {str(k): jsonable(v, names) for k, v in sorted(value.items(),
-                                                              key=lambda kv: str(kv[0]))}
+        return {str(k): jsonable(v) for k, v in sorted(value.items(),
+                                                       key=lambda kv: str(kv[0]))}
     if isinstance(value, (list, tuple)):
-        return [jsonable(v, names) for v in value]
+        return [jsonable(v) for v in value]
     if isinstance(value, bool) or value is None or isinstance(value, (str, float)):
         return value
     if isinstance(value, int):
@@ -222,9 +216,6 @@ class Document:
     morphisms: dict[str, MorphismHandle] = field(default_factory=dict)
     complexes: dict[str, ChainComplex] = field(default_factory=dict)
     diagrams: dict[str, object] = field(default_factory=dict)
-
-    def to_jsonable(self) -> dict:
-        return document_to_jsonable(self)
 
 
 def document_to_jsonable(doc: Document) -> dict:

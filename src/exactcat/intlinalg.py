@@ -345,23 +345,16 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             _negate_row(d, i)
             _negate_row(u, i)
 
-    # Enforce the divisibility chain d_i | d_{i+1} by 2x2 gcd repairs.
+    # Enforce the divisibility chain d_i | d_{i+1} by 2x2 gcd repairs.  The
+    # diagonal is positive and then zero (a pivot is taken while the block is
+    # nonzero), and a fold keeps it so: it leaves g = gcd(di, dj) > 0 and
+    # di dj / g > 0, and g | dj clears d[i][i+1] = y dj exactly.
     changed = True
     while changed:
         changed = False
         for i in range(limit - 1):
             di, dj = d[i][i], d[i + 1][i + 1]
-            if di and dj % di == 0:
-                continue
-            if di == 0 and dj == 0:
-                continue
-            if di == 0:
-                # Zero must come last: swap the two diagonal slots.
-                _swap_rows(d, i, i + 1)
-                _swap_rows(u, i, i + 1)
-                _swap_cols(d, i, i + 1)
-                _swap_cols(v, i, i + 1)
-                changed = True
+            if di == 0 or dj % di == 0:
                 continue
             # Fold slot i+1 into slot i: col_i += col_{i+1}, then gcd dance.
             _addmul_col(d, i, i + 1, 1)
@@ -377,15 +370,9 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             u[i] = [x * p + y * q for p, q in zip(ri, rj)]
             u[i + 1] = [-bi * p + ai * q for p, q in zip(ri, rj)]
             # Clear the off-diagonal remainder in column i+1 / row i.
-            q2 = d[i][i + 1] // d[i][i] if d[i][i] else 0
+            q2 = d[i][i + 1] // g
             _addmul_col(d, i + 1, i, -q2)
             _addmul_col(v, i + 1, i, -q2)
-            if d[i + 1][i + 1] < 0:
-                _negate_row(d, i + 1)
-                _negate_row(u, i + 1)
-            if d[i][i] < 0:
-                _negate_row(d, i)
-                _negate_row(u, i)
             changed = True
 
     um = IntMatrix.from_rows(u, cols=r)

@@ -201,7 +201,11 @@ class BiproductData:
 
 @dataclass(frozen=True)
 class GenBounds:
-    """Size bounds for the random generators of the law harness."""
+    """Size bounds for the random generators of the law harness.
+
+    Every law report records ``max_entry`` in its config, but no generator
+    reads it; it stays because the ``check`` golden and ``bench/`` record it.
+    """
 
     max_gens: int = 4
     max_rel_entry: int = 9
@@ -397,9 +401,6 @@ class ExactStructureModel:
         if g is None or not (f @ g).same_as(self.identity(f.cod)):
             return None
         return g
-
-    def is_iso(self, f: MorphismHandle) -> bool:
-        return self.inverse(f) is not None
 
     # -- structure hooks ------------------------------------------------
 

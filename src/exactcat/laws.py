@@ -52,7 +52,6 @@ class LawConfig:
     seed: int = 0
     iterations: int = 100
     bounds: GenBounds = GenBounds()
-    shrink_budget: int = 200
 
 
 @dataclass(eq=False)
@@ -170,6 +169,10 @@ def _entry_candidates(instance: dict):
                     yield cand
 
 
+# steps the shrinker may take on one failing iteration instance
+SHRINK_BUDGET = 200
+
+
 def _shrink(instance: dict, predicate: Callable[[dict], bool],
             budget: int) -> dict:
     """Structural shrinking: drop generators or shrink single entries while
@@ -229,7 +232,7 @@ def run_law(law_id: str, model: ExactStructureModel, cfg: LawConfig,
         ok, err = verdict(inst)
         if ok is False:
             if kind == "iteration":   # a fixed edge instance is reported as given
-                inst = _shrink(inst, lambda i: verdict(i)[0], cfg.shrink_budget)
+                inst = _shrink(inst, lambda i: verdict(i)[0], SHRINK_BUDGET)
             record = {kind: idx, "witness": jsonable(inst)}
             if err:
                 record["error"] = err

@@ -231,10 +231,9 @@ class PresentedModel(ExactStructureModel):
         c = self.cokernel(f)
         if k is None or c is None:
             return None
-        try:
-            e, m = self._image_factorisation(f)
-        except ObjectAbsent:
-            return None
+        # the image exists: only even_rank_split lacks objects, and there the
+        # image has rank rank(dom) - rank(kernel), which is even
+        e, m = self._image_factorisation(f)
         return Analysis(k, e, m, c)
 
     # -- admissibility -----------------------------------------------------

@@ -136,23 +136,23 @@ def projective_resolution(a: ObjectHandle, max_length: int = 8,
                                truncated=not model.is_zero_object(kernels[-1].dom))
 
 
-def random_cover(rng: random.Random, pad_levels: int = 2, max_extra: int = 2,
-                 entry_bound: int = 3):
-    """A cover function adding redundant generators for a few levels."""
-    state = {"level": 0}
+def random_cover(rng: random.Random):
+    """A cover function adding 0-2 redundant generators, entries up to 3, at the first two levels."""
+    level = 0
 
     def cover(a: ObjectHandle) -> MorphismHandle:
+        nonlocal level
         model = a.model
         base = model.projective_cover_epi(a)
-        if state["level"] >= pad_levels:
+        if level >= 2:
             return base
-        state["level"] += 1
-        extra = rng.randrange(0, max_extra + 1)
+        level += 1
+        extra = rng.randrange(0, 3)
         if extra == 0 or not model.presented:
             return base
         pad = model.object(extra)
         bp = model.biproduct(base.dom, pad)
-        w = model._rand_matrix(rng, base.matrix.rows, extra, entry_bound)
+        w = model._rand_matrix(rng, base.matrix.rows, extra, 3)
         wmor = model.morphism(pad, a, w, check=False)
         return (base @ bp.proj1) + (wmor @ bp.proj2)
 
@@ -291,8 +291,11 @@ class ProjectiveReplacement:
     certificate: AcyclicityCertificate
 
 
-def projective_replacement(x: ChainComplex, max_extra: int = 8,
-                           cover=None) -> ProjectiveReplacement:
+# stages a replacement may take past the length of its complex before it fails
+REPLACEMENT_MARGIN = 8
+
+
+def projective_replacement(x: ChainComplex) -> ProjectiveReplacement:
     """Quasi-isomorphism from a complex of projectives onto a bounded complex.
 
     Built by iterated pull-backs: B_{n+1} is the pull-back of the cover
@@ -303,7 +306,6 @@ def projective_replacement(x: ChainComplex, max_extra: int = 8,
     model = x.model
     if not model.abelian:
         raise PreconditionError("projective replacement runs over abelian models")
-    cover = cover or model.projective_cover_epi
     if not x.components:
         empty = chain_complex(model, 0, [], [], check=False)
         f = chain_map(empty, x, {}, check=False)
@@ -321,11 +323,11 @@ def projective_replacement(x: ChainComplex, max_extra: int = 8,
     # alpha, d_A) is (-i'; i'') after (p', p''): that row moved by diag(-1, 1), up to sign.
     epics, monics = {}, {hi: model.biproduct(model.zero_object(), b_cur).inj2}
     n = 0
-    limit = (x.hi - x.lo + 1) + max_extra
+    limit = (x.hi - x.lo + 1) + REPLACEMENT_MARGIN
     while True:
         if n > limit:
             raise InternalCheckError("projective replacement did not terminate")
-        p_prime = cover(b_cur)
+        p_prime = model.projective_cover_epi(b_cur)
         p_primes.append(p_prime)
         pb = pullback_along_epic(p_prime, p_second)
         i_primes.append(pb.map)        # B_{n+1} -> P_n

@@ -111,6 +111,26 @@ def test_translate():
     assert ss.differential(0).matrix.entries[0][0] == 2
 
 
+def test_translate_of_empty_complex():
+    shifted = translate(chain_complex(M, 2, [], []), 1)
+    assert shifted.components == () and shifted.differentials == ()
+
+
+def test_chain_map_sum():
+    x = z_scalar_complex(0)
+    z = cyclic(0)
+
+    def scalars(k0, k1):
+        return chain_map(x, x, {0: mor(z, z, [[k0]]), 1: mor(z, z, [[k1]])})
+
+    total = scalars(3, 3) + scalars(5, 5)
+    assert total.source is x and total.target is x
+    assert total.same_as(scalars(8, 8))
+    # a degree missing from one summand counts as zero
+    partial = chain_map(x, x, {0: mor(z, z, [[5]])})
+    assert (scalars(3, 3) + partial).same_as(scalars(8, 3))
+
+
 def test_strict_triangle():
     x = z_scalar_complex(3)
     f = identity_chain_map(x)

@@ -784,3 +784,174 @@ def test_list_rows_are_stored_as_tuples():
     assert IntMatrix(1, 1, [[2]]) == IntMatrix.from_rows([[2]])
     with pytest.raises(DimensionMismatch):
         IntMatrix(2, 2, [[1, 2], [3]])
+
+
+# -- Smith form against the earlier routine with its divisibility repairs --------
+
+
+def _oracle_smith(a, taken):
+    """smith_normal_form as it stood with repairs for a zero before a nonzero
+    diagonal entry and for negative entries after a fold; ``taken`` counts
+    the folds and every repair that fired.  Returns the rows of U, D, V."""
+    r, c = a.rows, a.cols
+    d = [list(row) for row in a.entries]
+    u = [[int(i == j) for j in range(r)] for i in range(r)]
+    v = [[int(i == j) for j in range(c)] for i in range(c)]
+
+    def swap_rows(m, i, j):
+        m[i], m[j] = m[j], m[i]
+
+    def swap_cols(m, i, j):
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+
+    def addmul_row(m, dst, src, k):
+        m[dst] = [x + k * y for x, y in zip(m[dst], m[src])]
+
+    def addmul_col(m, dst, src, k):
+        for row in m:
+            row[dst] += k * row[src]
+
+    def negate_row(m, i):
+        m[i] = [-x for x in m[i]]
+
+    def xgcd(p, q):
+        x, nx, y, ny, g, ng = 1, 0, 0, 1, p, q
+        while ng:
+            k = g // ng
+            x, nx, y, ny, g, ng = nx, x - k * nx, ny, y - k * ny, ng, g - k * ng
+        return (-g, -x, -y) if g < 0 else (g, x, y)
+
+    def pivot_search(t):
+        best, best_abs = None, None
+        for i in range(t, r):
+            for j in range(t, c):
+                x = d[i][j]
+                if x and (best_abs is None or abs(x) < best_abs):
+                    best, best_abs = (i, j), abs(x)
+                    if best_abs == 1:
+                        return best
+        return best
+
+    limit = min(r, c)
+    for t in range(limit):
+        pos = pivot_search(t)
+        if pos is None:
+            break
+        i, j = pos
+        if i != t:
+            swap_rows(d, t, i)
+            swap_rows(u, t, i)
+        if j != t:
+            swap_cols(d, t, j)
+            swap_cols(v, t, j)
+        while True:
+            restart = False
+            for i in range(r):
+                if i != t and d[i][t]:
+                    q = d[i][t] // d[t][t]
+                    addmul_row(d, i, t, -q)
+                    addmul_row(u, i, t, -q)
+                    if d[i][t]:
+                        swap_rows(d, t, i)
+                        swap_rows(u, t, i)
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(c):
+                if j != t and d[t][j]:
+                    q = d[t][j] // d[t][t]
+                    addmul_col(d, j, t, -q)
+                    addmul_col(v, j, t, -q)
+                    if d[t][j]:
+                        swap_cols(d, t, j)
+                        swap_cols(v, t, j)
+                        restart = True
+                        break
+            if restart:
+                continue
+            if all(d[i][t] == 0 for i in range(r) if i != t) and \
+               all(d[t][j] == 0 for j in range(c) if j != t):
+                break
+    for i in range(limit):
+        if d[i][i] < 0:
+            negate_row(d, i)
+            negate_row(u, i)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(limit - 1):
+            di, dj = d[i][i], d[i + 1][i + 1]
+            if di and dj % di == 0:
+                continue
+            if di == 0 and dj == 0:
+                continue
+            if di == 0:
+                taken["zero swap"] += 1
+                swap_rows(d, i, i + 1)
+                swap_rows(u, i, i + 1)
+                swap_cols(d, i, i + 1)
+                swap_cols(v, i, i + 1)
+                changed = True
+                continue
+            taken["fold"] += 1
+            addmul_col(d, i, i + 1, 1)
+            addmul_col(v, i, i + 1, 1)
+            a_, b_ = d[i][i], d[i + 1][i]
+            g, x, y = xgcd(a_, b_)
+            ai, bi = a_ // g, b_ // g
+            for m in (d, u):
+                ri, rj = m[i], m[i + 1]
+                m[i] = [x * p + y * q for p, q in zip(ri, rj)]
+                m[i + 1] = [-bi * p + ai * q for p, q in zip(ri, rj)]
+            if not d[i][i]:
+                taken["zero pivot guard"] += 1
+            q2 = d[i][i + 1] // d[i][i] if d[i][i] else 0
+            addmul_col(d, i + 1, i, -q2)
+            addmul_col(v, i + 1, i, -q2)
+            for k in (i + 1, i):
+                if d[k][k] < 0:
+                    taken["negation"] += 1
+                    negate_row(d, k)
+                    negate_row(u, k)
+            changed = True
+    return tuple(map(tuple, u)), tuple(map(tuple, d)), tuple(map(tuple, v))
+
+
+def _smith_case(rng, k):
+    r, c = rng.randrange(0, 8), rng.randrange(0, 8)
+    kind = k % 4
+    if kind == 0:
+        # diagonal entries that mostly do not divide each other, some zero or negative
+        rows = [[0] * c for _ in range(r)]
+        for i in range(min(r, c)):
+            rows[i][i] = rng.choice([0, 1, -1]) * rng.randint(2, 1000) \
+                if rng.random() < 0.3 else rng.randint(2, 1000)
+        return IntMatrix.from_rows(rows, cols=c)
+    bound = (9, 1000, 1000, 1000)[kind]
+    rows = [[rng.randint(-bound, bound) if rng.random() < 0.7 else 0 for _ in range(c)]
+            for _ in range(r)]
+    if kind == 2 and r and c:
+        # zero rows and columns
+        for i in rng.sample(range(r), rng.randrange(0, r + 1)):
+            rows[i] = [0] * c
+        for j in rng.sample(range(c), rng.randrange(0, c + 1)):
+            for row in rows:
+                row[j] = 0
+    return IntMatrix.from_rows(rows, cols=c)
+
+
+def test_smith_matches_the_routine_with_the_unreachable_repairs():
+    rng = random.Random(20)
+    taken = {"fold": 0, "zero swap": 0, "zero pivot guard": 0, "negation": 0}
+    shapes = set()
+    for k in range(2000):
+        a = _smith_case(rng, k)
+        shapes.add((a.rows, a.cols))
+        snf = smith_normal_form(a)
+        assert (snf.U.entries, snf.D.entries, snf.V.entries) == _oracle_smith(a, taken), a
+    assert {(0, 0), (7, 7)} <= shapes
+    # the repair folds, and none of the removed branches ever fires
+    assert taken["fold"] > 100
+    assert taken["zero swap"] == taken["zero pivot guard"] == taken["negation"] == 0

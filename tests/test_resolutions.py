@@ -275,6 +275,15 @@ def test_replacement_of_projective_complex():
     assert rep.certificate is not None
 
 
+def test_replacement_of_empty_complex():
+    x = chain_complex(M, 3, [], [])
+    rep = projective_replacement(x)
+    assert rep.complex.components == () and rep.map.comps == {}
+    assert rep.map.target is x
+    assert rep.certificate is not None
+    assert all(M.is_zero_object(c) for c in rep.certificate.complex.components)
+
+
 def test_replacement_of_z2():
     from exactcat.complexes import object_as_complex
     x = object_as_complex(cyclic(2))
