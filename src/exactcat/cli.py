@@ -179,6 +179,11 @@ def _render_invariants(v: dict) -> str:
     return " + ".join(parts) if parts else "0"
 
 
+def _cyclic_name(m: int) -> str:
+    """Z/m as people write it: cyclic(0) is Z."""
+    return f"Z/{m}" if m else "Z"
+
+
 def render_human(report: dict) -> str:
     cmd = report.get("command")
     lines = []
@@ -191,7 +196,8 @@ def render_human(report: dict) -> str:
     elif cmd in ("ext", "tor"):
         name = "Ext" if cmd == "ext" else "Tor"
         sup = f"^{report['degree']}" if cmd == "ext" else f"_{report['degree']}"
-        lines.append(f"{name}{sup}(Z/{report['m']}, Z/{report['n']}) = "
+        operands = f"{_cyclic_name(report['m'])}, {_cyclic_name(report['n'])}"
+        lines.append(f"{name}{sup}({operands}) = "
                      f"{_render_invariants(report['invariant_factors'])}")
     elif cmd == "resolve":
         lines.append(f"resolution of {report['object']}: length {report['length']}"

@@ -11,7 +11,10 @@ no floating point anywhere.
 One Hermite elimination serves every caller.  Lattice bases, membership
 and preimages need only the canonical H (``column_hnf``); only ``_Solver``
 and ``unimodular_inverse`` need the transform V (``column_hnf_transform``),
-whose entries grow far beyond those of H.
+whose entries grow far beyond those of H.  The Smith form carries U^-1
+alongside U (``SmithDecomposition.U_inv``), so inverting U costs no
+elimination; ``unimodular_inverse`` is left for matrices that come from
+elsewhere (in the models, only ``FreeExactModel.random_idempotent``).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 
@@ -79,10 +82,12 @@ class IntMatrix:
         return IntMatrix(len(data), cols, data)
 
     @staticmethod
+    @memo
     def identity(n: int) -> "IntMatrix":
         return _trusted(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @staticmethod
+    @memo
     def zeros(rows: int, cols: int) -> "IntMatrix":
         return _trusted(rows, cols, ((0,) * cols,) * rows)
 
@@ -102,8 +107,7 @@ class IntMatrix:
         rows = mats[0].rows
         if any(m.rows != rows for m in mats):
             raise DimensionMismatch("hstack with differing row counts")
-        data = tuple(tuple(chain.from_iterable(parts))
-                     for parts in zip(*(m.entries for m in mats)))
+        data = tuple([sum(parts, ()) for parts in zip(*(m.entries for m in mats))])
         return _trusted(rows, sum(m.cols for m in mats), data)
 
     @staticmethod
@@ -163,12 +167,13 @@ class IntMatrix:
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"matrix product shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        if not self.cols:
-            # zip(*()) below would lose the column count of other
+        if not (self.rows and self.cols and other.cols):
+            # an empty dimension: the shared zero matrix (zip(*()) below
+            # would lose the column count of other)
             return IntMatrix.zeros(self.rows, other.cols)
         mul = operator.mul
         cols = tuple(zip(*other.entries))
-        data = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.entries)
+        data = tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in self.entries])
         return _trusted(self.rows, other.cols, data)
 
     def transpose(self) -> "IntMatrix":
@@ -216,11 +221,16 @@ def _trusted(rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> IntM
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U @ A @ V = D with U, V unimodular and D a non-negative divisibility chain."""
+    """U @ A @ V = D with U, V unimodular and D a non-negative divisibility chain.
+
+    ``U_inv`` is the inverse of U, built alongside it by the inverse column
+    operations, so no caller runs a second elimination to invert U.
+    """
 
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
+    U_inv: IntMatrix
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -250,9 +260,7 @@ def _swap_cols(m: list[list[int]], i: int, j: int) -> None:
 
 def _addmul_row(m: list[list[int]], dst: int, src: int, k: int) -> None:
     if k:
-        md, ms = m[dst], m[src]
-        for j in range(len(md)):
-            md[j] += k * ms[j]
+        m[dst] = [x + k * y for x, y in zip(m[dst], m[src])]
 
 
 def _addmul_col(m: list[list[int]], dst: int, src: int, k: int) -> None:
@@ -278,6 +286,9 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     d = [list(row) for row in a.entries]
     u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+    # w holds the columns of U^-1: each row operation E on u applies E^-1 on
+    # the right of U^-1, a column operation, which is a row operation on w
+    w = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
 
     def pivot_search(t: int) -> Optional[tuple[int, int]]:
         best = None
@@ -304,6 +315,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
         if i != t:
             _swap_rows(d, t, i)
             _swap_rows(u, t, i)
+            _swap_rows(w, t, i)
         if j != t:
             _swap_cols(d, t, j)
             _swap_cols(v, t, j)
@@ -315,9 +327,11 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                     q = d[i][t] // d[t][t]
                     _addmul_row(d, i, t, -q)
                     _addmul_row(u, i, t, -q)
+                    _addmul_row(w, t, i, q)
                     if d[i][t]:
                         _swap_rows(d, t, i)
                         _swap_rows(u, t, i)
+                        _swap_rows(w, t, i)
                         restart = True
                         break
             if restart:
@@ -344,6 +358,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
         if d[i][i] < 0:
             _negate_row(d, i)
             _negate_row(u, i)
+            _negate_row(w, i)
 
     # Enforce the divisibility chain d_i | d_{i+1} by 2x2 gcd repairs.  The
     # diagonal is positive and then zero (a pivot is taken while the block is
@@ -369,16 +384,20 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             ri, rj = u[i], u[i + 1]
             u[i] = [x * p + y * q for p, q in zip(ri, rj)]
             u[i + 1] = [-bi * p + ai * q for p, q in zip(ri, rj)]
+            # its inverse (a/g, -y; b/g, x) on columns i, i+1 of U^-1
+            ri, rj = w[i], w[i + 1]
+            w[i] = [ai * p + bi * q for p, q in zip(ri, rj)]
+            w[i + 1] = [-y * p + x * q for p, q in zip(ri, rj)]
             # Clear the off-diagonal remainder in column i+1 / row i.
             q2 = d[i][i + 1] // g
             _addmul_col(d, i + 1, i, -q2)
             _addmul_col(v, i + 1, i, -q2)
             changed = True
 
-    um = IntMatrix.from_rows(u, cols=r)
-    vm = IntMatrix.from_rows(v, cols=c)
-    dm = IntMatrix.from_rows(d, cols=c) if r else IntMatrix.zeros(0, c)
-    return SmithDecomposition(um, dm, vm)
+    return SmithDecomposition(_trusted(r, r, tuple(map(tuple, u))),
+                              _trusted(r, c, tuple(map(tuple, d))),
+                              _trusted(c, c, tuple(map(tuple, v))),
+                              _trusted(r, r, tuple(zip(*w))))
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
@@ -395,40 +414,57 @@ def _hermite(cols: list[list[int]], pivot_rows: int) -> int:
     """Column Hermite elimination in place on the first ``pivot_rows`` entries;
     returns the number of pivot columns, which come first.  Later entries
     ride along, which is how a transform (an appended identity) is tracked.
+
+    When row r is reached, every column from ``fixed`` on is zero above r
+    (each finished row leaves a nonzero only in its pivot column), so the
+    column operations of row r change entries r and below only.
     """
     c = len(cols)
     fixed = 0
     for r in range(pivot_rows):
         while True:
-            live = [j for j in range(fixed, c) if cols[j][r]]
+            live = [(abs(x), j) for j in range(fixed, c) if (x := cols[j][r])]
             if len(live) <= 1:
                 break
-            live.sort(key=lambda j: (abs(cols[j][r]), j))
-            j0 = live[0]
-            for j in live[1:]:
-                q = cols[j][r] // cols[j0][r]
-                if q:
-                    cols[j] = [x - q * y for x, y in zip(cols[j], cols[j0])]
-        live = [j for j in range(fixed, c) if cols[j][r]]
+            _, j0 = min(live)   # the smallest entry, ties to the lowest j
+            p = cols[j0][r]
+            tail = cols[j0][r:]
+            for _, j in live:
+                if j != j0:
+                    q = cols[j][r] // p
+                    if q:
+                        col = cols[j]
+                        col[r:] = [x - q * y for x, y in zip(col[r:], tail)]
         if not live:
             continue
-        j0 = live[0]
+        _, j0 = live[0]
         cols[fixed], cols[j0] = cols[j0], cols[fixed]
-        if cols[fixed][r] < 0:
-            cols[fixed] = [-x for x in cols[fixed]]
-        piv = cols[fixed][r]
+        col = cols[fixed]
+        if col[r] < 0:
+            col[r:] = [-x for x in col[r:]]
+        piv = col[r]
+        tail = col[r:]
         for j in range(fixed):
             q = cols[j][r] // piv
             if q:
-                cols[j] = [x - q * y for x, y in zip(cols[j], cols[fixed])]
+                col = cols[j]
+                col[r:] = [x - q * y for x, y in zip(col[r:], tail)]
         fixed += 1
+        if fixed == c:   # no column is left to pivot in the rows below
+            break
     return fixed
+
+
+def _columns(a: IntMatrix) -> list[tuple[int, ...]]:
+    """The columns of ``a``, transposed in one pass."""
+    return list(zip(*a.entries)) if a.rows else [()] * a.cols
 
 
 def _from_columns(rows: int, cols: Sequence[Sequence[int]], start: int = 0) -> IntMatrix:
     """The matrix whose columns are ``cols``, each read from entry ``start`` on."""
-    return _trusted(rows, len(cols), tuple(tuple(col[start + i] for col in cols)
-                                           for i in range(rows)))
+    if not (rows and cols):
+        return IntMatrix.zeros(rows, len(cols))
+    return _trusted(rows, len(cols), tuple(islice(zip(*cols), start, start + rows)))
 
 
 @memo
@@ -439,7 +475,7 @@ def column_hnf_transform(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     coefficients grow; the kernel is spanned by its trailing columns.
     """
     n, c = a.rows, a.cols
-    cols = [list(a.column_at(j)) + [1 if i == j else 0 for i in range(c)] for j in range(c)]
+    cols = [[*col, *(1 if i == j else 0 for i in range(c))] for j, col in enumerate(_columns(a))]
     fixed = _hermite(cols, n)
     return _from_columns(n, cols[:fixed]), _from_columns(c, cols, n)
 
@@ -459,27 +495,35 @@ def column_hnf(a: IntMatrix) -> IntMatrix:
     earlier columns in a pivot row are reduced into [0, pivot).  Zero
     columns are dropped, so the result is a canonical basis.  No V is kept.
     """
-    cols = [list(a.column_at(j)) for j in range(a.cols)]
+    cols = list(map(list, _columns(a)))
     return _from_columns(a.rows, cols[:_hermite(cols, a.rows)])
 
 
 def saturation(a: IntMatrix) -> IntMatrix:
     """Canonical basis of the saturation {x : k x in col(a) for some k != 0}."""
     snf = smith_normal_form(a)
-    return column_hnf(unimodular_inverse(snf.U).take_columns(range(snf.rank)))
+    return column_hnf(snf.U_inv.take_columns(range(snf.rank)))
 
 
-def _pivots(h: IntMatrix) -> tuple[tuple[int, tuple[int, ...]], ...]:
+Pivots = tuple[tuple[int, tuple[int, ...]], ...]
+
+
+def _pivots(h: IntMatrix) -> Pivots:
     """(pivot row, column) for each column of a Hermite basis."""
     return tuple((next(i for i, x in enumerate(col) if x), col) for col in zip(*h.entries))
 
 
 @memo
-def _lattice_reducer(lattice_gens: IntMatrix) -> tuple[tuple[int, tuple[int, ...]], ...]:
+def _lattice_reducer(lattice_gens: IntMatrix) -> Pivots:
     """The pivots of the lattice's HNF.  Its keys are among those of
     ``column_hnf``, but each memo evicts its own least recently used
     entries, so a miss here may still hit the Hermite memo."""
     return _pivots(column_hnf(lattice_gens))
+
+
+def lattice_pivots(lattice_gens: IntMatrix) -> Pivots:
+    """The pivots that ``reduce_by_pivots`` reduces modulo the lattice by."""
+    return _lattice_reducer(lattice_gens) if lattice_gens.cols else ()
 
 
 def reduce_columns_mod_lattice(m: IntMatrix, lattice_gens: IntMatrix) -> IntMatrix:
@@ -490,17 +534,23 @@ def reduce_columns_mod_lattice(m: IntMatrix, lattice_gens: IntMatrix) -> IntMatr
     """
     if lattice_gens.cols == 0 or m.cols == 0:
         return m
-    pivots = _lattice_reducer(lattice_gens)
-    if not pivots:
+    return reduce_by_pivots(m, _lattice_reducer(lattice_gens))
+
+
+def reduce_by_pivots(m: IntMatrix, pivots: Pivots) -> IntMatrix:
+    """``reduce_columns_mod_lattice`` against a lattice whose pivots are known."""
+    if not (pivots and m.cols):
         return m
     cols = []
+    changed = False
     for v in zip(*m.entries):
         for pr, h in pivots:
             q = v[pr] // h[pr]
             if q:
                 v = [x - q * y for x, y in zip(v, h)]
+                changed = True
         cols.append(v)
-    return _trusted(m.rows, m.cols, tuple(zip(*cols)))
+    return _trusted(m.rows, m.cols, tuple(zip(*cols))) if changed else m
 
 
 class _Solver:
@@ -605,7 +655,7 @@ def solve_columns_mod_lattice(a: IntMatrix, b: IntMatrix, lattice_gens: IntMatri
             raise DimensionMismatch("domain relations must have one row per column of b")
         snf = smith_normal_form(dom_rel)
         u, diag = snf.U, snf.diagonal
-        b = b @ unimodular_inverse(u)
+        b = b @ snf.U_inv
     if cod_rel is None:
         cod_rel = IntMatrix.zeros(n, 0)
     # per distinct d: (basis of P_d or None for all of Z^n, solver of [a P_d | lattice])
@@ -650,11 +700,11 @@ def solve_rows_mod_lattice(r: IntMatrix, c: IntMatrix, lattice_gens: IntMatrix,
         stacked = IntMatrix.hstack(r, dom_rel)
         rhs = IntMatrix.hstack(c, IntMatrix.zeros(c.rows, dom_rel.cols))
     diag: tuple[int, ...] = ()
-    u = None
+    u_inv = None
     if lattice_gens.cols:
         snf = smith_normal_form(lattice_gens)
-        u, diag = snf.U, snf.diagonal
-        rhs = u @ rhs
+        u_inv, diag = snf.U_inv, snf.diagonal
+        rhs = snf.U @ rhs
     at = stacked.transpose()
     solvers: dict[int, _Solver] = {}
     rows = []
@@ -673,7 +723,7 @@ def solve_rows_mod_lattice(r: IntMatrix, c: IntMatrix, lattice_gens: IntMatrix,
             return None
         rows.append(sol[:r.rows])
     x = _trusted(c.rows, r.rows, tuple(rows))
-    return x if u is None else unimodular_inverse(u) @ x
+    return x if u_inv is None else u_inv @ x
 
 
 @memo
@@ -688,8 +738,8 @@ def preimage_basis(m: IntMatrix, lattice_gens: IntMatrix) -> IntMatrix:
     if m.rows != lattice_gens.rows:
         raise DimensionMismatch("preimage lattice ambient mismatch")
     r, n = m.rows, m.cols
-    cols = [list(m.column_at(j)) + [1 if i == j else 0 for i in range(n)] for j in range(n)]
-    cols += [list(lattice_gens.column_at(j)) + [0] * n for j in range(lattice_gens.cols)]
+    cols = [[*col, *(1 if i == j else 0 for i in range(n))] for j, col in enumerate(_columns(m))]
+    cols += [[*col, *(0,) * n] for col in _columns(lattice_gens)]
     fixed = _hermite(cols, r + n)
     top = sum(1 for col in cols[:fixed] if any(col[:r]))
     return _from_columns(n, cols[top:fixed], r)

@@ -18,8 +18,10 @@ from .intlinalg import (
     CACHE_SIZE,   # re-exported: completion and callers read the bound here
     IntMatrix,
     MatrixEquationSystem,
+    Pivots,
+    lattice_pivots,
     memo,
-    reduce_columns_mod_lattice,
+    reduce_by_pivots,
     solve_columns_mod_lattice,
     solve_rows_mod_lattice,
 )
@@ -65,6 +67,8 @@ class ObjectHandle:
         return self.model.model_id
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, ObjectHandle):
             return NotImplemented
         return self.model_id == other.model_id and self.payload == other.payload
@@ -287,13 +291,17 @@ class ExactStructureModel:
     def _rel(self, payload: object) -> IntMatrix:
         raise NotImplementedError
 
+    def _pivots(self, payload: object) -> Pivots:
+        """The pivots of ``_rel(payload)``, which arrows into it reduce by."""
+        return lattice_pivots(self._rel(payload))
+
     def _validate_morphism_matrix(self, dom: ObjectHandle, cod: ObjectHandle,
                                   matrix: IntMatrix) -> None:
         raise NotImplementedError
 
     def _coerce_matrix(self, dom: ObjectHandle, cod: ObjectHandle,
                        matrix: IntMatrix) -> IntMatrix:
-        return reduce_columns_mod_lattice(matrix, self._rel(cod.payload))
+        return reduce_by_pivots(matrix, self._pivots(cod.payload))
 
     def zero_object(self) -> ObjectHandle:
         raise NotImplementedError
@@ -344,7 +352,7 @@ class ExactStructureModel:
 
     def _reduced(self, dom: ObjectHandle, cod: ObjectHandle,
                  raw: IntMatrix) -> MorphismHandle:
-        return MorphismHandle(dom, cod, reduce_columns_mod_lattice(raw, self._rel(cod.payload)))
+        return MorphismHandle(dom, cod, reduce_by_pivots(raw, self._pivots(cod.payload)))
 
     def compose(self, f: MorphismHandle, g: MorphismHandle) -> MorphismHandle:
         """The composite f after g."""
@@ -368,11 +376,10 @@ class ExactStructureModel:
     def mor_equal(self, f: MorphismHandle, g: MorphismHandle) -> bool:
         if f.dom != g.dom or f.cod != g.cod:
             return False
-        return reduce_columns_mod_lattice(f.matrix - g.matrix,
-                                          self._rel(f.cod.payload)).is_zero()
+        return reduce_by_pivots(f.matrix - g.matrix, self._pivots(f.cod.payload)).is_zero()
 
     def is_zero_mor(self, f: MorphismHandle) -> bool:
-        return reduce_columns_mod_lattice(f.matrix, self._rel(f.cod.payload)).is_zero()
+        return reduce_by_pivots(f.matrix, self._pivots(f.cod.payload)).is_zero()
 
     # -- solving -------------------------------------------------------
 

@@ -28,17 +28,20 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Optional
 
 from .intlinalg import (
     IntMatrix,
+    Pivots,
     column_hnf,
     lattice_contains,
     lattice_equal,
+    lattice_pivots,
     memo,
     preimage_basis,
+    reduce_by_pivots,
     saturation,
     smith_normal_form,
     solve_columns_mod_lattice,
@@ -70,6 +73,12 @@ class PresentedObject:
         if self.relations.rows != self.ngens:
             raise ValueError("relation matrix must have one row per generator")
 
+    @cached_property
+    def pivots(self) -> Pivots:
+        """The pivots of the relation lattice, which arrows into this object
+        are reduced by; kept with the object instead of looked up by matrix."""
+        return lattice_pivots(self.relations)
+
 
 @memo
 def normalize_presentation(payload: PresentedObject) -> tuple[PresentedObject, IntMatrix, IntMatrix]:
@@ -87,14 +96,8 @@ def normalize_presentation(payload: PresentedObject) -> tuple[PresentedObject, I
     diag = [snf.D.entries[i][i] if i < m else 0 for i in range(n)]
     kept = [i for i in range(n) if diag[i] != 1]
     torsion = [diag[i] for i in kept if diag[i] > 1]
-    sel = IntMatrix(len(kept), n,
-                    tuple(tuple(1 if j == i else 0 for j in range(n)) for i in kept))
-    from_raw = sel @ snf.U
-    to_raw = unimodular_inverse(snf.U) @ sel.transpose()
-    new_rel = IntMatrix(len(kept), len(torsion), tuple(
-        tuple(torsion[j] if i == j else 0 for j in range(len(torsion)))
-        for i in range(len(kept))))
-    return PresentedObject(len(kept), new_rel), to_raw, from_raw
+    new_rel = IntMatrix.diagonal(torsion, rows=len(kept), cols=len(torsion))
+    return PresentedObject(len(kept), new_rel), snf.U_inv.take_columns(kept), snf.U.take_rows(kept)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,6 +144,9 @@ class PresentedModel(ExactStructureModel):
     def _rel(self, payload: PresentedObject) -> IntMatrix:
         return payload.relations
 
+    def _pivots(self, payload: PresentedObject) -> Pivots:
+        return payload.pivots
+
     def object(self, ngens: int, relations: Optional[IntMatrix] = None) -> ObjectHandle:
         if relations is None:
             relations = IntMatrix.zeros(ngens, 0)
@@ -161,7 +167,7 @@ class PresentedModel(ExactStructureModel):
                                   matrix: IntMatrix) -> None:
         # matrix must carry the domain relation lattice into the codomain one
         moved = matrix @ dom.payload.relations
-        if not lattice_contains(cod.payload.relations, moved):
+        if not reduce_by_pivots(moved, cod.payload.pivots).is_zero():
             raise PreconditionError("matrix does not respect the relation lattices")
 
     # -- ambient lattice helpers -------------------------------------------
@@ -290,7 +296,7 @@ class PresentedModel(ExactStructureModel):
         da = sa.diagonal + (0,) * (na - len(sa.diagonal))
         db = sb.diagonal + (0,) * (nb - len(sb.diagonal))
         scale = [1 if dj == 0 else 0 if di == 0 else di // gcd(di, dj) for dj in da for di in db]
-        k = IntMatrix.kron(sa.U.transpose(), unimodular_inverse(sb.U))
+        k = IntMatrix.kron(sa.U.transpose(), sb.U_inv)
         # column_hnf drops the columns that a zero scale clears
         return column_hnf(IntMatrix(k.rows, k.cols, tuple(
             tuple(map(operator.mul, row, scale)) for row in k.entries)))

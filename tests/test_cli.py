@@ -61,6 +61,21 @@ def test_human_golden_outputs(argv, golden):
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("argv,golden", [(("tor", "0", "0", "0"), "tor_0_0_0.txt"),
+                                         (("ext", "0", "6", "0"), "ext_0_6_0.txt")])
+def test_human_output_names_cyclic_zero_as_z(argv, golden):
+    # cyclic(0) is Z: the human line must not print the modulus as "Z/0"
+    code, out = run_cli(*argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_human_ext_of_z_vanishes_in_degree_one():
+    code, out = run_cli("ext", "0", "6", "1")
+    assert code == 0
+    assert out == "Ext^1(Z, Z/6) = 0\n"
+
+
 def test_golden_values_sanity():
     data = json.loads((GOLDEN / "ext_4_6_1.out").read_text())
     assert data["invariant_factors"] == {"free_rank": 0, "torsion": [2]}

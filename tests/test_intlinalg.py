@@ -951,7 +951,113 @@ def test_smith_matches_the_routine_with_the_unreachable_repairs():
         shapes.add((a.rows, a.cols))
         snf = smith_normal_form(a)
         assert (snf.U.entries, snf.D.entries, snf.V.entries) == _oracle_smith(a, taken), a
+        # U^-1 is built alongside U, by the inverse of each row operation
+        assert snf.U @ snf.U_inv == IntMatrix.identity(a.rows)
+        assert snf.U_inv == unimodular_inverse(snf.U)
     assert {(0, 0), (7, 7)} <= shapes
     # the repair folds, and none of the removed branches ever fires
     assert taken["fold"] > 100
     assert taken["zero swap"] == taken["zero pivot guard"] == taken["negation"] == 0
+
+
+# -- Hermite entry points against the elimination that redid every entry ----------
+
+
+def _oracle_hermite(cols, pivot_rows):
+    """_hermite as it stood before its column operations were restricted to
+    the entries from the pivot row down: every operation rewrites whole
+    columns, and the live columns are sorted to find the pivot."""
+    c = len(cols)
+    fixed = 0
+    for r in range(pivot_rows):
+        while True:
+            live = [j for j in range(fixed, c) if cols[j][r]]
+            if len(live) <= 1:
+                break
+            live.sort(key=lambda j: (abs(cols[j][r]), j))
+            j0 = live[0]
+            for j in live[1:]:
+                q = cols[j][r] // cols[j0][r]
+                if q:
+                    cols[j] = [x - q * y for x, y in zip(cols[j], cols[j0])]
+        live = [j for j in range(fixed, c) if cols[j][r]]
+        if not live:
+            continue
+        j0 = live[0]
+        cols[fixed], cols[j0] = cols[j0], cols[fixed]
+        if cols[fixed][r] < 0:
+            cols[fixed] = [-x for x in cols[fixed]]
+        piv = cols[fixed][r]
+        for j in range(fixed):
+            q = cols[j][r] // piv
+            if q:
+                cols[j] = [x - q * y for x, y in zip(cols[j], cols[fixed])]
+        fixed += 1
+    return fixed
+
+
+def _oracle_from_columns(rows, cols, start=0):
+    return IntMatrix(rows, len(cols), tuple(tuple(col[start + i] for col in cols)
+                                            for i in range(rows)))
+
+
+def _oracle_hnf_transform(a):
+    n, c = a.rows, a.cols
+    cols = [list(a.column_at(j)) + [1 if i == j else 0 for i in range(c)] for j in range(c)]
+    fixed = _oracle_hermite(cols, n)
+    return _oracle_from_columns(n, cols[:fixed]), _oracle_from_columns(c, cols, n)
+
+
+def _oracle_column_hnf(a):
+    cols = [list(a.column_at(j)) for j in range(a.cols)]
+    return _oracle_from_columns(a.rows, cols[:_oracle_hermite(cols, a.rows)])
+
+
+def _oracle_preimage_basis(m, lattice_gens):
+    r, n = m.rows, m.cols
+    cols = [list(m.column_at(j)) + [1 if i == j else 0 for i in range(n)] for j in range(n)]
+    cols += [list(lattice_gens.column_at(j)) + [0] * n for j in range(lattice_gens.cols)]
+    fixed = _oracle_hermite(cols, r + n)
+    top = sum(1 for col in cols[:fixed] if any(col[:r]))
+    return _oracle_from_columns(n, cols[top:fixed], r)
+
+
+def _hermite_case(rng, k):
+    """Shapes 0x0 to 8x8 with entries up to 1000 in size; every third case
+    has zero rows and columns, every fifth is small and rank-deficient."""
+    r, c = rng.randrange(0, 9), rng.randrange(0, 9)
+    if k % 5 == 0:
+        inner = rng.randint(0, max(0, min(r, c) - 1))
+        return _rand(rng, r, inner, 3) @ _rand(rng, inner, c, 3)
+    bound = rng.choice((1, 9, 1000))
+    rows = [[rng.randint(-bound, bound) if rng.random() < 0.7 else 0 for _ in range(c)]
+            for _ in range(r)]
+    if k % 3 == 0 and r and c:
+        for i in rng.sample(range(r), rng.randrange(0, r + 1)):
+            rows[i] = [0] * c
+        for j in rng.sample(range(c), rng.randrange(0, c + 1)):
+            for row in rows:
+                row[j] = 0
+    return IntMatrix.from_rows(rows, cols=c)
+
+
+def test_hermite_matches_the_whole_column_elimination():
+    rng = random.Random(22)
+    shapes, zero_lines, large, preimage_shapes = set(), 0, 0, set()
+    for k in range(2000):
+        a = _hermite_case(rng, k)
+        shapes.add((a.rows, a.cols))
+        zero_lines += any(not any(row) for row in a.entries) or \
+            any(not any(col) for col in zip(*a.entries))
+        large += any(abs(x) > 100 for row in a.entries for x in row)
+        assert column_hnf_transform(a) == _oracle_hnf_transform(a), a
+        assert column_hnf(a) == _oracle_column_hnf(a), a
+        # preimages run the elimination on the augmented [[m | G], [I | 0]]
+        g = _hermite_case(rng, k + 1)
+        g = IntMatrix.from_rows(g.to_lists()[:a.rows] + [[0] * g.cols] * (a.rows - g.rows),
+                                cols=g.cols)
+        preimage_shapes.add((a.rows + a.cols, a.cols + g.cols))
+        assert preimage_basis(a, g) == _oracle_preimage_basis(a, g), (a, g)
+    assert len(shapes) == 81   # every shape from 0x0 to 8x8
+    assert zero_lines > 1000 and large > 300
+    assert (16, 16) in preimage_shapes and len(preimage_shapes) > 200

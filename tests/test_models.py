@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from exactcat.intlinalg import IntMatrix, column_hnf, preimage_basis
+from exactcat.intlinalg import (
+    IntMatrix,
+    column_hnf,
+    preimage_basis,
+    smith_normal_form,
+    unimodular_inverse,
+)
 from exactcat.completion import CompletedModel, complete
 from exactcat.kernel import GenBounds, MorphismSystem, ObjectAbsent, PreconditionError
 from exactcat.models import (
@@ -17,6 +23,7 @@ from exactcat.models import (
     free_split,
     is_projective,
     iso_invariants,
+    normalize_presentation,
     projective_cover_epi,
     vect,
     vect_model,
@@ -504,3 +511,37 @@ def test_other_preconditions_propagate_from_kernels(op):
     m.armed = True
     with pytest.raises(PreconditionError, match="validator fault"):
         getattr(m, op)(f)
+
+
+def _selection_normalization(payload):
+    # normalize_presentation as it was: the change of generators as products
+    # with a 0/1 selection matrix, and U^-1 from a second elimination
+    n, rel = payload.ngens, payload.relations
+    snf = smith_normal_form(rel)
+    m = min(rel.rows, rel.cols)
+    diag = [snf.D.entries[i][i] if i < m else 0 for i in range(n)]
+    kept = [i for i in range(n) if diag[i] != 1]
+    torsion = [diag[i] for i in kept if diag[i] > 1]
+    sel = IntMatrix(len(kept), n,
+                    tuple(tuple(1 if j == i else 0 for j in range(n)) for i in kept))
+    new_rel = IntMatrix(len(kept), len(torsion), tuple(
+        tuple(torsion[j] if i == j else 0 for j in range(len(torsion)))
+        for i in range(len(kept))))
+    return (PresentedObject(len(kept), new_rel), unimodular_inverse(snf.U) @ sel.transpose(),
+            sel @ snf.U)
+
+
+def test_normalize_presentation_matches_the_selection_products():
+    rng = random.Random(2200)
+    dropped = torsion = 0
+    for k in range(500):
+        n, r = rng.randrange(0, 7), rng.randrange(0, 7)
+        bound = (1, 4, 30)[k % 3]
+        rel = IntMatrix.from_rows([[rng.randint(-bound, bound) for _ in range(r)]
+                                   for _ in range(n)], cols=r)
+        payload = PresentedObject(n, rel)
+        ours = normalize_presentation(payload)
+        assert ours == _selection_normalization(payload), payload
+        dropped += ours[0].ngens < n
+        torsion += ours[0].relations.cols > 0
+    assert dropped > 100 and torsion > 100

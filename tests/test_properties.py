@@ -19,6 +19,7 @@ from exactcat.intlinalg import (  # noqa: E402
     smith_normal_form,
     solve_columns_mod_lattice,
     solve_rows_mod_lattice,
+    unimodular_inverse,
 )
 from exactcat.models import fgab, iso_invariants  # noqa: E402
 from exactcat.resolutions import projective_resolution  # noqa: E402
@@ -66,6 +67,15 @@ def test_smith_form_is_a_unimodular_divisibility_chain(a):
     rank = snf.rank
     assert all(diag[:rank]) and not any(diag[rank:])
     assert all(y % x == 0 for x, y in zip(diag[:rank], diag[1:rank]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(matrices(max_rows=6, max_cols=6, bound=60))
+def test_smith_form_carries_the_inverse_of_u(a):
+    snf = smith_normal_form(a)
+    one = IntMatrix.identity(a.rows)
+    assert snf.U @ snf.U_inv == one and snf.U_inv @ snf.U == one
+    assert snf.U_inv == unimodular_inverse(snf.U)
 
 
 @settings(max_examples=80, deadline=None)
