@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .intlinalg import IntMatrix, memo
+from .intlinalg import IntMatrix, Pivots, memo
 from .kernel import (
     CACHE_SIZE,
     Analysis,
@@ -82,6 +82,9 @@ class CompletedModel(ExactStructureModel):
 
     def _rel(self, payload: CompletionObject) -> IntMatrix:
         return self.base._rel(payload.base.payload)
+
+    def _pivots(self, payload: CompletionObject) -> Pivots:
+        return self.base._pivots(payload.base.payload)
 
     def _coerce_matrix(self, dom: ObjectHandle, cod: ObjectHandle,
                        matrix: IntMatrix) -> IntMatrix:

@@ -82,14 +82,12 @@ class IntMatrix:
         return IntMatrix(len(data), cols, data)
 
     @staticmethod
-    @memo
     def identity(n: int) -> "IntMatrix":
-        return _trusted(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return _identity(n)
 
     @staticmethod
-    @memo
     def zeros(rows: int, cols: int) -> "IntMatrix":
-        return _trusted(rows, cols, ((0,) * cols,) * rows)
+        return _zeros(rows, cols)
 
     @staticmethod
     def diagonal(values: Sequence[int], rows: Optional[int] = None, cols: Optional[int] = None) -> "IntMatrix":
@@ -170,7 +168,7 @@ class IntMatrix:
         if not (self.rows and self.cols and other.cols):
             # an empty dimension: the shared zero matrix (zip(*()) below
             # would lose the column count of other)
-            return IntMatrix.zeros(self.rows, other.cols)
+            return _zeros(self.rows, other.cols)
         mul = operator.mul
         cols = tuple(zip(*other.entries))
         data = tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in self.entries])
@@ -178,7 +176,7 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         if not self.rows:
-            return IntMatrix.zeros(self.cols, 0)
+            return _zeros(self.cols, 0)
         return _trusted(self.cols, self.rows, tuple(zip(*self.entries)))
 
     # -- accessors ----------------------------------------------------
@@ -217,6 +215,17 @@ def _trusted(rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> IntM
     object.__setattr__(m, "cols", cols)
     object.__setattr__(m, "entries", entries)
     return m
+
+
+# Module-level memos, so the walkers over module attributes see their cache_info.
+@memo
+def _identity(n: int) -> IntMatrix:
+    return _trusted(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+
+
+@memo
+def _zeros(rows: int, cols: int) -> IntMatrix:
+    return _trusted(rows, cols, ((0,) * cols,) * rows)
 
 
 @dataclass(frozen=True)
@@ -463,7 +472,7 @@ def _columns(a: IntMatrix) -> list[tuple[int, ...]]:
 def _from_columns(rows: int, cols: Sequence[Sequence[int]], start: int = 0) -> IntMatrix:
     """The matrix whose columns are ``cols``, each read from entry ``start`` on."""
     if not (rows and cols):
-        return IntMatrix.zeros(rows, len(cols))
+        return _zeros(rows, len(cols))
     return _trusted(rows, len(cols), tuple(islice(zip(*cols), start, start + rows)))
 
 
@@ -519,11 +528,6 @@ def _lattice_reducer(lattice_gens: IntMatrix) -> Pivots:
     ``column_hnf``, but each memo evicts its own least recently used
     entries, so a miss here may still hit the Hermite memo."""
     return _pivots(column_hnf(lattice_gens))
-
-
-def lattice_pivots(lattice_gens: IntMatrix) -> Pivots:
-    """The pivots that ``reduce_by_pivots`` reduces modulo the lattice by."""
-    return _lattice_reducer(lattice_gens) if lattice_gens.cols else ()
 
 
 def reduce_columns_mod_lattice(m: IntMatrix, lattice_gens: IntMatrix) -> IntMatrix:

@@ -19,7 +19,6 @@ from .intlinalg import (
     IntMatrix,
     MatrixEquationSystem,
     Pivots,
-    lattice_pivots,
     memo,
     reduce_by_pivots,
     solve_columns_mod_lattice,
@@ -293,7 +292,7 @@ class ExactStructureModel:
 
     def _pivots(self, payload: object) -> Pivots:
         """The pivots of ``_rel(payload)``, which arrows into it reduce by."""
-        return lattice_pivots(self._rel(payload))
+        raise NotImplementedError
 
     def _validate_morphism_matrix(self, dom: ObjectHandle, cod: ObjectHandle,
                                   matrix: IntMatrix) -> None:

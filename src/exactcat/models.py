@@ -38,7 +38,6 @@ from .intlinalg import (
     column_hnf,
     lattice_contains,
     lattice_equal,
-    lattice_pivots,
     memo,
     preimage_basis,
     reduce_by_pivots,
@@ -47,6 +46,7 @@ from .intlinalg import (
     solve_columns_mod_lattice,
     unimodular_inverse,
     _check_prime,
+    _lattice_reducer,
 )
 from .kernel import (
     Analysis,
@@ -77,7 +77,7 @@ class PresentedObject:
     def pivots(self) -> Pivots:
         """The pivots of the relation lattice, which arrows into this object
         are reduced by; kept with the object instead of looked up by matrix."""
-        return lattice_pivots(self.relations)
+        return _lattice_reducer(self.relations) if self.relations.cols else ()
 
 
 @memo
