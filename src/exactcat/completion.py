@@ -196,10 +196,15 @@ class CompletedModel(ExactStructureModel):
         an = self.target.analyze(self.to_target(f))
         if an is None:
             return None
-        k = self._lift(an.kernel_arrow, cod=f.dom)
-        e = self._lift(an.coimage_epic, dom=f.dom)
-        m = self._lift(an.image_monic, dom=e.cod, cod=f.cod)
-        return Analysis(k, e, m, self._lift(an.cokernel_arrow, dom=f.cod))
+
+        def factorisation() -> tuple[MorphismHandle, MorphismHandle]:
+            e = self._lift(an.coimage_epic, dom=f.dom)
+            return e, self._lift(an.image_monic, dom=e.cod, cod=f.cod)
+
+        # each part is lifted when it is first read
+        return Analysis(lambda: self._lift(an.kernel_arrow, cod=f.dom),
+                        lambda: self._lift(an.cokernel_arrow, dom=f.cod),
+                        factorisation)
 
     def is_admissible_monic(self, f: MorphismHandle) -> bool:
         return self.target.is_admissible_monic(self.to_target(f))
@@ -207,9 +212,7 @@ class CompletedModel(ExactStructureModel):
     def is_admissible_epic(self, f: MorphismHandle) -> bool:
         return self.target.is_admissible_epic(self.to_target(f))
 
-    def is_short_exact(self, i: MorphismHandle, p: MorphismHandle) -> bool:
-        if i.cod != p.dom:
-            return False
+    def _is_short_exact(self, i: MorphismHandle, p: MorphismHandle) -> bool:
         return self.target.is_short_exact(self.to_target(i), self.to_target(p))
 
     def is_iso(self, f: MorphismHandle) -> bool:

@@ -19,6 +19,7 @@ from .kernel import (
     ExactStructureModel,
     MorphismHandle,
     ObjectHandle,
+    PreconditionError,
     ShortExactSequence,
 )
 from .models import (
@@ -32,6 +33,14 @@ from .models import (
 
 DOCUMENT_VERSION = "exactcat/1"
 _SAFE = 2 ** 53
+
+# Input budget of a document matrix.  A well-formed matrix beyond one of
+# these bounds is refused as a violated precondition (exit code 3): its
+# shape before any entry is decoded, its entries before any computation.
+MAX_MATRIX_ROWS = 32
+MAX_MATRIX_COLS = 32
+MAX_MATRIX_CELLS = 256
+MAX_ENTRY_BITS = 64
 
 
 class ParseError(ValueError):
@@ -60,19 +69,29 @@ def matrix_to_json(m: IntMatrix) -> dict:
             "entries": [[encode_int(x) for x in row] for row in m.entries]}
 
 
+def _over_budget(what: str, value: int, name: str, bound: int) -> None:
+    if value > bound:
+        raise PreconditionError(
+            f"{what} {value} exceeds the input budget {name} = {bound}")
+
+
 def matrix_from_json(v) -> IntMatrix:
     if not isinstance(v, dict) or "entries" not in v:
         raise ParseError("matrix must be an object with rows/cols/entries")
-    if not isinstance(v["entries"], list) or not all(isinstance(r, list) for r in v["entries"]):
+    entries = v["entries"]
+    if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
         raise ParseError("matrix entries must be a list of rows")
-    rows, cols = decode_int(v.get("rows", len(v["entries"]))), None
-    if "cols" in v:
-        cols = decode_int(v["cols"])
-    grid = [[decode_int(x) for x in row] for row in v["entries"]]
-    if cols is None:
-        cols = len(grid[0]) if grid else 0
-    if len(grid) != rows or any(len(r) != cols for r in grid):
+    rows = decode_int(v.get("rows", len(entries)))
+    cols = decode_int(v["cols"]) if "cols" in v else len(entries[0]) if entries else 0
+    if len(entries) != rows or any(len(r) != cols for r in entries):
         raise ParseError("matrix entry grid does not match rows/cols")
+    _over_budget("matrix row count", rows, "MAX_MATRIX_ROWS", MAX_MATRIX_ROWS)
+    _over_budget("matrix column count", cols, "MAX_MATRIX_COLS", MAX_MATRIX_COLS)
+    _over_budget("matrix cell count", rows * cols, "MAX_MATRIX_CELLS", MAX_MATRIX_CELLS)
+    grid = [[decode_int(x) for x in row] for row in entries]
+    _over_budget("matrix entry bit-length",
+                 max((x.bit_length() for r in grid for x in r), default=0),
+                 "MAX_ENTRY_BITS", MAX_ENTRY_BITS)
     return IntMatrix(rows, cols, tuple(tuple(r) for r in grid))
 
 
@@ -149,6 +168,8 @@ def object_from_json(v, model: ExactStructureModel) -> ObjectHandle:
         idem = matrix_from_json(v["idempotent"])
         return model.pair(base, idem)
     ngens = decode_int(v.get("ngens", 0))
+    # the generators are the rows of the relation matrix, given or not
+    _over_budget("object generator count", ngens, "MAX_MATRIX_ROWS", MAX_MATRIX_ROWS)
     if "relations" in v:
         rel = matrix_from_json(v["relations"])
     else:

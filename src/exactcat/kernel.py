@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 from .intlinalg import (
     CACHE_SIZE,   # re-exported: completion and callers read the bound here
@@ -171,14 +172,39 @@ def ses(i: MorphismHandle, p: MorphismHandle, check: bool = True) -> ShortExactS
     return s
 
 
-@dataclass(frozen=True, eq=False)
 class Analysis:
-    """Kernel / coimage-epic / image-monic / cokernel data of an admissible arrow."""
+    """Kernel / coimage-epic / image-monic / cokernel data of an admissible arrow.
 
-    kernel_arrow: MorphismHandle
-    coimage_epic: MorphismHandle
-    image_monic: MorphismHandle
-    cokernel_arrow: MorphismHandle
+    The kernel arrow, the cokernel arrow and the image factorisation
+    (coimage epic, image monic) are each built by the callable given for
+    it when first read, and kept.  Most readers want the kernel-cokernel
+    half or the image half alone, so the other is never built.
+    """
+
+    def __init__(self, kernel: Callable[[], MorphismHandle],
+                 cokernel: Callable[[], MorphismHandle],
+                 factorisation: Callable[[], tuple[MorphismHandle, MorphismHandle]]):
+        self._kernel, self._cokernel, self._factorisation = kernel, cokernel, factorisation
+
+    @cached_property
+    def kernel_arrow(self) -> MorphismHandle:
+        return self._kernel()
+
+    @cached_property
+    def cokernel_arrow(self) -> MorphismHandle:
+        return self._cokernel()
+
+    @cached_property
+    def _image(self) -> tuple[MorphismHandle, MorphismHandle]:
+        return self._factorisation()
+
+    @property
+    def coimage_epic(self) -> MorphismHandle:
+        return self._image[0]
+
+    @property
+    def image_monic(self) -> MorphismHandle:
+        return self._image[1]
 
     @property
     def kernel_object(self) -> ObjectHandle:
@@ -458,6 +484,19 @@ class ExactStructureModel:
         raise NotImplementedError
 
     def is_short_exact(self, i: MorphismHandle, p: MorphismHandle) -> bool:
+        # memoised like analyze: the endpoints and canonical matrices
+        # determine the pair
+        if i.cod != p.dom:
+            return False
+        return self._exactness(i.dom, i.cod, p.cod, i.matrix, p.matrix)
+
+    @memo
+    def _exactness(self, sub: ObjectHandle, mid: ObjectHandle, quot: ObjectHandle,
+                   i_matrix: IntMatrix, p_matrix: IntMatrix) -> bool:
+        return self._is_short_exact(MorphismHandle(sub, mid, i_matrix),
+                                    MorphismHandle(mid, quot, p_matrix))
+
+    def _is_short_exact(self, i: MorphismHandle, p: MorphismHandle) -> bool:
         raise NotImplementedError
 
     def is_projective(self, a: ObjectHandle) -> bool:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from math import gcd
 from typing import Optional
 
@@ -233,14 +233,10 @@ class PresentedModel(ExactStructureModel):
                 self.morphism(sq.ob, f.cod, sq.gens, check=False))
 
     def _analyze(self, f: MorphismHandle) -> Optional[Analysis]:
-        k = self.kernel(f)
-        c = self.cokernel(f)
-        if k is None or c is None:
-            return None
-        # the image exists: only even_rank_split lacks objects, and there the
-        # image has rank rank(dom) - rank(kernel), which is even
-        e, m = self._image_factorisation(f)
-        return Analysis(k, e, m, c)
+        # every part exists: only even_rank_split lacks objects, and its
+        # SplitModel._analyze reads the kernel before it returns an analysis
+        return Analysis(partial(self.kernel, f), partial(self.cokernel, f),
+                        partial(self._image_factorisation, f))
 
     # -- admissibility -----------------------------------------------------
 
@@ -254,8 +250,8 @@ class PresentedModel(ExactStructureModel):
     def is_admissible_epic(self, f: MorphismHandle) -> bool:
         return self._is_surjective(f)
 
-    def is_short_exact(self, i: MorphismHandle, p: MorphismHandle) -> bool:
-        if i.cod != p.dom or not (p @ i).is_zero():
+    def _is_short_exact(self, i: MorphismHandle, p: MorphismHandle) -> bool:
+        if not (p @ i).is_zero():
             return False
         return self._is_injective(i) and self._is_surjective(p) and \
             lattice_equal(self._kernel_lattice(p), self._image_lattice(i))
@@ -462,8 +458,15 @@ class SplitModel(PresentedModel):
         # for the coimage epic e, and e t e = e gives e t = 1.  If m is
         # split, its cokernel is split.  Conversely an admissible f has a
         # summand kernel and a summand image.
+        #
+        # The kernel is read first: on even_rank_split it may be absent, and
+        # then f is not analysed.  If it exists, rank(f) = rank(dom) -
+        # rank(kernel) is even, so the image (rank rank(f)) and the cokernel
+        # (the quotient by the saturated image, rank rank(cod) - rank(f))
+        # are objects too, and every part of the analysis exists.
         an = super()._analyze(f)
-        if an is None or not self.is_admissible_monic(an.kernel_arrow) \
+        if an is None or an.kernel_arrow is None \
+                or not self.is_admissible_monic(an.kernel_arrow) \
                 or not self.is_admissible_monic(an.image_monic):
             return None
         return an
@@ -476,8 +479,8 @@ class SplitModel(PresentedModel):
         # a right inverse must exist
         return self.solve_right_factor(f, self.identity(f.cod)) is not None
 
-    def is_short_exact(self, i: MorphismHandle, p: MorphismHandle) -> bool:
-        if i.cod != p.dom or not (p @ i).is_zero():
+    def _is_short_exact(self, i: MorphismHandle, p: MorphismHandle) -> bool:
+        if not (p @ i).is_zero():
             return False
         # Split exact iff some s i = 1, p t = 1 with i s + t p = 1.  Any
         # one-sided inverses s, t decide it: (1 - i s)(1 - t p) = 0.  If

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import subprocess
@@ -7,10 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from exactcat.cli import main
+from exactcat.cli import build_parser, main
 from exactcat.documents import (
+    MAX_ENTRY_BITS,
+    MAX_MATRIX_CELLS,
+    MAX_MATRIX_COLS,
+    MAX_MATRIX_ROWS,
     document_from_jsonable,
     document_to_jsonable,
+    encode_int,
     load_document,
     model_from_descriptor,
     parse_model_name,
@@ -290,6 +296,84 @@ def test_negative_argument_is_exit_3_naming_the_bound(argv, bound, capsys):
     code, out = run_cli(*argv)
     assert code == 3 and out == ""
     assert capsys.readouterr().err == f"precondition violated: {bound}\n"
+
+
+def _zeros_literal(rows, cols):
+    return {"rows": rows, "cols": cols, "entries": [[0] * cols for _ in range(rows)]}
+
+
+def _entry_literal(value):
+    return {"rows": 1, "cols": 1, "entries": [[encode_int(value)]]}
+
+
+# per bound: a relation matrix at the bound and one just past it
+BUDGET_CASES = {
+    "MAX_MATRIX_ROWS": (_zeros_literal(MAX_MATRIX_ROWS, 0),
+                        _zeros_literal(MAX_MATRIX_ROWS + 1, 0)),
+    "MAX_MATRIX_COLS": (_zeros_literal(1, MAX_MATRIX_COLS),
+                        _zeros_literal(1, MAX_MATRIX_COLS + 1)),
+    "MAX_MATRIX_CELLS": (_zeros_literal(MAX_MATRIX_CELLS // MAX_MATRIX_COLS, MAX_MATRIX_COLS),
+                         _zeros_literal(MAX_MATRIX_CELLS // MAX_MATRIX_COLS + 1,
+                                        MAX_MATRIX_COLS)),
+    "MAX_ENTRY_BITS": (_entry_literal(-(2 ** MAX_ENTRY_BITS - 1)),
+                       _entry_literal(2 ** MAX_ENTRY_BITS)),
+}
+
+
+@pytest.mark.parametrize("bound", sorted(BUDGET_CASES))
+def test_matrix_past_its_budget_is_exit_3_naming_the_bound(bound, tmp_path, capsys):
+    assert MAX_MATRIX_CELLS < MAX_MATRIX_ROWS * MAX_MATRIX_COLS   # the cell bound binds
+    for literal, code_wanted in zip(BUDGET_CASES[bound], (0, 3)):
+        doc = {"version": "exactcat/1", "model": "fgab",
+               "objects": {"A": {"ngens": literal["rows"], "relations": literal}}}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        if code_wanted == 0:
+            load_document(str(path))   # at the bound the document loads
+            continue
+        code, out = run_cli("resolve", str(path), "A")
+        assert code == 3 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("precondition violated: ") and f"{bound} = " in err
+
+
+def test_generator_count_past_the_row_budget_is_exit_3(tmp_path, capsys):
+    # an object without a relation matrix is bounded by the row budget too
+    for ngens, code_wanted in ((MAX_MATRIX_ROWS, 0), (MAX_MATRIX_ROWS + 1, 3)):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"version": "exactcat/1", "model": "fgab",
+                                    "objects": {"A": {"ngens": ngens}}}), encoding="utf-8")
+        code, _ = run_cli("resolve", str(path), "A")
+        assert code == code_wanted
+    assert (f"object generator count {MAX_MATRIX_ROWS + 1} exceeds the input budget "
+            f"MAX_MATRIX_ROWS = {MAX_MATRIX_ROWS}") in capsys.readouterr().err
+
+
+def test_main_builds_one_parser_per_process(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build_parser.cache_clear()
+    for argv, golden in GOLDEN_CASES[:2]:
+        assert run_cli(*argv) == (0, (GOLDEN / golden).read_text(encoding="utf-8"))
+    assert built.count("exactcat") == 1
+
+
+@pytest.mark.parametrize("argv", [("ext", "4"), ("ext", "four", "6", "1"),
+                                  ("check", "--suite", "nope"), ("bogus",)],
+                         ids=["missing", "not_an_int", "bad_choice", "no_command"])
+def test_argparse_error_then_a_good_call_prints_its_golden(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: exactcat")
+    for good, golden in GOLDEN_CASES[:3]:
+        assert run_cli(*good) == (0, (GOLDEN / golden).read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("command", ["ext", "tor"])

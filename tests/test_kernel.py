@@ -4,7 +4,7 @@ import pytest
 
 from exactcat.completion import CompletedModel, complete
 from exactcat.documents import parse_model_name
-from exactcat.intlinalg import IntMatrix
+from exactcat.intlinalg import IntMatrix, column_hnf, saturation
 from exactcat.kernel import (
     GenBounds,
     NotAdmissible,
@@ -20,6 +20,8 @@ from exactcat.kernel import (
     pushout_along_monic,
 )
 from exactcat.models import (
+    FreeExactModel,
+    SplitModel,
     cyclic,
     even_rank_split,
     fgab,
@@ -443,6 +445,128 @@ def test_memoised_analyze_keeps_none():
                                 IntMatrix.from_rows([[2]]))
     assert two.model.analyze(two) is None and two.model._analyze(two) is None
     assert two.model.analyze(two) is None
+
+
+# test_complexes.ORACLE_MODELS plus a model of each remaining class
+DIFFERENTIAL_MODELS = ["fgab", "free_split", "even_rank_split", "completion:even_rank_split",
+                       "completion:fgab_split", "fgab_split", "free_exact", "vect:5"]
+PARTS = ("kernel_arrow", "coimage_epic", "image_monic", "cokernel_arrow")
+
+
+def _eager_analyze(model, f):
+    """Each model's _analyze as it was when it built all four arrows at
+    once: (kernel, coimage epic, image monic, cokernel), or None."""
+    if isinstance(model, CompletedModel):
+        an = _eager_analyze(model.target, model.to_target(f))
+        if an is None:
+            return None
+        k, e, m, c = an
+        e = model._lift(e, dom=f.dom)
+        return (model._lift(k, cod=f.dom), e, model._lift(m, dom=e.cod, cod=f.cod),
+                model._lift(c, dom=f.cod))
+    if isinstance(model, FreeExactModel) and saturation(f.matrix) != column_hnf(f.matrix):
+        return None
+    k, c = model.kernel(f), model.cokernel(f)
+    if k is None or c is None:
+        return None
+    e, m = model._image_factorisation(f)
+    if isinstance(model, SplitModel) and not (
+            model.is_admissible_monic(k) and model.is_admissible_monic(m)):
+        return None
+    return k, e, m, c
+
+
+def _seeded_arrows(model, rng, n=10):
+    bounds = GenBounds(max_gens=3)
+    for _ in range(n):
+        a, b = model.random_object(rng, bounds), model.random_object(rng, bounds)
+        g = model.random_morphism(rng, a, b)
+        yield from (g, g + g, model.random_admissible(rng, bounds))
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_MODELS)
+def test_lazy_analysis_matches_the_eager_one(name):
+    model = parse_model_name(name)
+    rng, order = random.Random(f"lazy {name}"), random.Random(name)
+    verdicts, absent = set(), 0
+    for f in _seeded_arrows(model, rng):
+        lazy, eager = model._analyze(f), _eager_analyze(model, f)
+        verdicts.add(lazy is None)
+        assert (lazy is None) == (eager is None)
+        if lazy is None:
+            absent += model.model_id == "even_rank_split" and model.kernel(f) is None
+            continue
+        # the parts are read in a random order: no part depends on another being built
+        for k in order.sample(range(4), 4):
+            x, y = getattr(lazy, PARTS[k]), eager[k]
+            assert (x.dom, x.cod, x.matrix) == (y.dom, y.cod, y.matrix), PARTS[k]
+    assert False in verdicts
+    if model.model_id in ("fgab_split", "free_exact", "free_split", "even_rank_split"):
+        assert True in verdicts
+    assert absent or model.model_id != "even_rank_split"   # odd-rank kernels were refused
+
+
+@pytest.mark.parametrize("name", ["fgab", "completion:fgab"])
+def test_analysis_builds_each_half_when_read(name, monkeypatch):
+    model = parse_model_name(name)
+    host = getattr(model, "target", model)   # the model whose kernels a completion lifts
+    calls = []
+    for meth in ("kernel", "cokernel", "_image_factorisation"):
+        def counted(f, _meth=meth, _orig=getattr(host, meth)):
+            calls.append(_meth)
+            return _orig(f)
+        monkeypatch.setattr(host, meth, counted)
+    rng = random.Random(31)
+    for f in _seeded_arrows(model, rng, n=4):
+        type(model)._analysis.cache_clear()   # the target's analyses are built afresh
+        if model is not host:
+            model.to_target(f)   # splitting the endpoints factors their idempotents
+            del calls[:]
+        image_first, kernel_first = model._analyze(f), model._analyze(f)
+        assert calls == []
+        image_first.image_monic, image_first.coimage_epic
+        assert calls == ["_image_factorisation"]
+        del calls[:]
+        kernel_first.kernel_arrow
+        assert calls == ["kernel"]
+        kernel_first.cokernel_arrow
+        assert calls == ["kernel", "cokernel"]
+        del calls[:]
+
+
+def _exactness_cases(model, rng):
+    """Short exact pairs from random_ses and non-exact variants of each:
+    swapped, with a nonzero composite, and not composable."""
+    bounds = GenBounds(max_gens=3)
+    for _ in range(6):
+        s = model.random_ses(rng, bounds)
+        yield s.i, s.p
+        yield s.p, s.i
+        yield model.identity(s.mid), s.p
+        yield s.i, model.identity(s.quot)
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_MODELS)
+def test_memoised_exactness_matches_uncached(name):
+    model = parse_model_name(name)
+    memo = type(model)._exactness
+    cases = list(_exactness_cases(model, random.Random(f"exact {name}")))
+    verdicts = []
+    for i, p in cases:
+        composable = i.cod == p.dom
+        plain = composable and model._is_short_exact(i, p)
+        assert model.is_short_exact(i, p) == plain
+        # an equal pair built afresh hits the memo; a pair that does not
+        # compose is refused before it
+        before = memo.cache_info()
+        again = [model.morphism(g.dom, g.cod, g.matrix, check=False) for g in (i, p)]
+        assert model.is_short_exact(*again) == plain
+        after = memo.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (int(composable), 0)
+        verdicts.append((composable, plain))
+    assert {(True, True), (True, False), (False, False)} <= set(verdicts)
+    memo.cache_clear()
+    assert [model.is_short_exact(i, p) for i, p in cases] == [v for _, v in verdicts]
 
 
 def test_invalid_or_unhashable_payload_raises_precondition():

@@ -13,12 +13,12 @@ from test_cli import GOLDEN, GOLDEN_CASES, run_cli
 
 # Keyed on no data or on a model: they hold one entry per model, and
 # evicting one would build a second instance of a model that is compared
-# by identity.
+# by identity.  The command-line parser is keyed on no data either.
 MODEL_FACTORIES = {
     "exactcat.models.fgab", "exactcat.models.fgab_split",
     "exactcat.models.vect_model", "exactcat.models.free_exact",
     "exactcat.models.free_split", "exactcat.models.even_rank_split",
-    "exactcat.completion.complete",
+    "exactcat.completion.complete", "exactcat.cli.build_parser",
 }
 
 def run_fgab(seed, max_gens):
@@ -55,7 +55,8 @@ def test_every_data_keyed_memo_is_bounded():
             assert f.cache_info().maxsize == CACHE_SIZE, name
     # the walk reaches module-level memos and those defined in classes
     assert {"exactcat.intlinalg.column_hnf", "exactcat.resolutions.hom_structure",
-            "exactcat.models.PresentedModel._hom_basis"} <= caches.keys()
+            "exactcat.models.PresentedModel._hom_basis",
+            "exactcat.kernel.ExactStructureModel._exactness"} <= caches.keys()
     assert 0 < CACHE_SIZE < 10_000
 
 

@@ -63,7 +63,7 @@ def _oracle_analyze(model, f):
     except ObjectAbsent:
         return None
     e = model.solve_right_factor(m, f)
-    return None if e is None else Analysis(k, e, m, c)
+    return None if e is None else Analysis(lambda: k, lambda: c, lambda: (e, m))
 
 
 def _oracle_split(model, a):
