@@ -35,6 +35,12 @@ from .resolutions import ext_values, projective_resolution, tor_values
 
 SEED_ENV = "EXACTCAT_SEED"
 
+# Upper bounds of ``check``: at MAX_GENS an all-suite run of one iteration
+# takes about a second, while at 16 generators one was still running after
+# three minutes (generated matrices and their Smith transforms grow).
+MAX_ITERS = 1000
+MAX_GENS = 8
+
 
 def _invariants_json(inv) -> dict:
     return {"free_rank": inv.free_rank, "torsion": list(inv.torsion_factors)}
@@ -45,13 +51,19 @@ def _require_nonnegative(name: str, value: int) -> None:
         raise PreconditionError(f"{name} must be >= 0, got {value}")
 
 
+def _require_at_most(name: str, value: int, bound_name: str, bound: int) -> None:
+    _require_nonnegative(name, value)
+    if value > bound:
+        raise PreconditionError(f"{name} {value} exceeds the bound {bound_name} = {bound}")
+
+
 # -- commands -----------------------------------------------------------------
 
 
 def cmd_check(model_name: str, seed: int, iters: int, max_gens: int,
               suite: str) -> tuple[dict, int]:
-    _require_nonnegative("--iters", iters)
-    _require_nonnegative("--max-gens", max_gens)
+    _require_at_most("--iters", iters, "MAX_ITERS", MAX_ITERS)
+    _require_at_most("--max-gens", max_gens, "MAX_GENS", MAX_GENS)
     model = parse_model_name(model_name)
     cfg = LawConfig(seed=seed, iterations=iters,
                     bounds=GenBounds(max_gens=max_gens))

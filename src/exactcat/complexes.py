@@ -14,6 +14,7 @@ A^{n+1} + B^n with differential (-d_A, 0; f, d_B).
 from __future__ import annotations
 
 import operator
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -28,7 +29,6 @@ from .kernel import (
     ObjectHandle,
     PreconditionError,
     ShortExactSequence,
-    is_short_exact,
 )
 from .models import Subquotient
 
@@ -287,42 +287,66 @@ def _coupled_null_homotopy(f: ChainMap, degrees: range) -> Optional[ChainHomotop
         n: g for n in unknowns if (g := sol[f"h{n}"]).matrix.rows and g.matrix.cols})
 
 
+class _ImageParts(Mapping):
+    """Degree -> coimage epic or image monic of the analysis at that degree,
+    read off the analysis (and so built) when first asked for."""
+
+    def __init__(self, analyses: dict[int, Analysis], part: Callable[[Analysis], MorphismHandle]):
+        self._analyses, self._part = analyses, part
+
+    def __getitem__(self, n: int) -> MorphismHandle:
+        return self._part(self._analyses[n])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._analyses)
+
+    def __len__(self) -> int:
+        return len(self._analyses)
+
+
 @dataclass(frozen=True, eq=False)
 class AcyclicityCertificate:
     """Factorization data witnessing acyclicity.
 
     For each n the differential d^{n-1} factors as the epic
     A^{n-1} ->> Z^n followed by the monic Z^n >-> A^n, and each
-    Z^n >-> A^n ->> Z^{n+1} is short exact.
+    Z^n >-> A^n ->> Z^{n+1} is short exact.  The epics and monics are the
+    splice a construction built, or, from ``is_acyclic``, the image
+    factorisations of the differentials, each built when first read.
     """
 
     complex: ChainComplex
-    z_objects: dict[int, ObjectHandle]
-    epics: dict[int, MorphismHandle]
-    monics: dict[int, MorphismHandle]
+    epics: Mapping[int, MorphismHandle]
+    monics: Mapping[int, MorphismHandle]
+
+    @property
+    def z_objects(self) -> dict[int, ObjectHandle]:
+        return {n: m.dom for n, m in self.monics.items()}
 
     def z_object(self, n: int) -> ObjectHandle:
-        return self.z_objects.get(n, self.complex.model.zero_object())
+        m = self.monics.get(n)
+        return self.complex.model.zero_object() if m is None else m.dom
 
     def monic(self, n: int) -> MorphismHandle:
         """Z^n >-> A^n; the zero arrow outside the window."""
-        if n in self.monics:
-            return self.monics[n]
-        return self.complex.model.zero_morphism(self.z_object(n), self.complex.component(n))
+        m = self.monics.get(n)
+        if m is None:
+            m = self.complex.model.zero_morphism(self.z_object(n), self.complex.component(n))
+        return m
 
     def epic(self, n: int) -> MorphismHandle:
         """A^{n-1} ->> Z^n; the zero arrow outside the window."""
-        if n in self.epics:
-            return self.epics[n]
-        return self.complex.model.zero_morphism(self.complex.component(n - 1),
-                                                self.z_object(n))
+        e = self.epics.get(n)
+        if e is None:
+            e = self.complex.model.zero_morphism(self.complex.component(n - 1), self.z_object(n))
+        return e
 
 
 def _spliced(differentials: Sequence[MorphismHandle]) -> Optional[list[Analysis]]:
     """Analyses of consecutive differentials when they splice exactly, or None.
 
-    Each differential must be admissible, and at every joint the image
-    monic of one with the coimage epic of the next must be short exact.
+    Each differential must be admissible, and the model must find every
+    joint exact (``is_exact_at``).
     """
     analyses = []
     for d in differentials:
@@ -330,9 +354,8 @@ def _spliced(differentials: Sequence[MorphismHandle]) -> Optional[list[Analysis]
         if an is None:
             return None
         analyses.append(an)
-    for prev, an in zip(analyses, analyses[1:]):
-        if not is_short_exact(prev.image_monic, an.coimage_epic):
-            return None
+    if not all(u.model.is_exact_at(u, v) for u, v in zip(differentials, differentials[1:])):
+        return None
     return analyses
 
 
@@ -348,11 +371,9 @@ def is_acyclic(x: ChainComplex) -> Optional[AcyclicityCertificate]:
     if analyses is None:
         return None
     # Z^n is the image of d^{n-1}
-    degrees = range(x.lo, x.hi + 2)
-    return AcyclicityCertificate(
-        x, {n: an.image_object for n, an in zip(degrees, analyses)},
-        {n: an.coimage_epic for n, an in zip(degrees, analyses)},
-        {n: an.image_monic for n, an in zip(degrees, analyses)})
+    parts = dict(zip(range(x.lo, x.hi + 2), analyses))
+    return AcyclicityCertificate(x, _ImageParts(parts, operator.attrgetter("coimage_epic")),
+                                 _ImageParts(parts, operator.attrgetter("image_monic")))
 
 
 def _certified(x: ChainComplex, epics: dict[int, MorphismHandle],
@@ -362,7 +383,7 @@ def _certified(x: ChainComplex, epics: dict[int, MorphismHandle],
     absent), short exact joints (m^n, e^{n+1}), and Z zero at both ends,
     where no joint makes e^lo epic or m^{hi+1} monic."""
     model, degrees = x.model, range(x.lo, x.hi + 2)
-    cert = AcyclicityCertificate(x, {n: m.dom for n, m in monics.items()}, epics, monics)
+    cert = AcyclicityCertificate(x, epics, monics)
     ms, es = [cert.monic(n) for n in degrees], [cert.epic(n) for n in degrees]
     ok = (model.is_zero_object(ms[0].dom) and model.is_zero_object(ms[-1].dom)
           and all((m @ e).same_as(x.differential(n - 1))

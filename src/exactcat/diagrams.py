@@ -26,7 +26,6 @@ from .kernel import (
     PushoutResult,
     ShortExactSequence,
     analyze,
-    is_short_exact,
     pullback_along_epic,
     pushout_along_monic,
     ses,
@@ -64,11 +63,7 @@ def is_exact_pair(u: MorphismHandle, v: MorphismHandle) -> bool:
     """Exactness at the joint of two consecutive admissible morphisms."""
     if u.cod != v.dom:
         raise ComposabilityError("exactness requires composable arrows")
-    au = analyze(u)
-    av = analyze(v)
-    if au is None or av is None:
-        raise NotAdmissible("exactness is defined for admissible morphisms")
-    return is_short_exact(au.image_monic, av.coimage_epic)
+    return u.model.is_exact_at(u, v)
 
 
 def verify_exact_sequence(arrows: Sequence[MorphismHandle]) -> bool:

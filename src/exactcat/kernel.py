@@ -499,6 +499,15 @@ class ExactStructureModel:
     def _is_short_exact(self, i: MorphismHandle, p: MorphismHandle) -> bool:
         raise NotImplementedError
 
+    def is_exact_at(self, u: MorphismHandle, v: MorphismHandle) -> bool:
+        """Exactness at the joint of composable admissible arrows u, v: the
+        image monic of u and the coimage epic of v are short exact.  A
+        non-admissible arrow is refused with NotAdmissible."""
+        au, av = self.analyze(u), self.analyze(v)
+        if au is None or av is None:
+            raise NotAdmissible("exactness is defined for admissible morphisms")
+        return self.is_short_exact(au.image_monic, av.coimage_epic)
+
     def is_projective(self, a: ObjectHandle) -> bool:
         raise NotImplementedError
 

@@ -36,8 +36,6 @@ from .intlinalg import (
     IntMatrix,
     Pivots,
     column_hnf,
-    lattice_contains,
-    lattice_equal,
     memo,
     preimage_basis,
     reduce_by_pivots,
@@ -46,7 +44,7 @@ from .intlinalg import (
     solve_columns_mod_lattice,
     unimodular_inverse,
     _check_prime,
-    _lattice_reducer,
+    _pivots,
 )
 from .kernel import (
     Analysis,
@@ -55,6 +53,7 @@ from .kernel import (
     InternalCheckError,
     IsoInvariants,
     MorphismHandle,
+    NotAdmissible,
     ObjectAbsent,
     ObjectHandle,
     PreconditionError,
@@ -74,10 +73,16 @@ class PresentedObject:
             raise ValueError("relation matrix must have one row per generator")
 
     @cached_property
+    def basis(self) -> IntMatrix:
+        """The canonical Hermite basis of the relation lattice, kept with the
+        object: kernel and image lattices of arrows start from it."""
+        return column_hnf(self.relations) if self.relations.cols else self.relations
+
+    @cached_property
     def pivots(self) -> Pivots:
         """The pivots of the relation lattice, which arrows into this object
-        are reduced by; kept with the object instead of looked up by matrix."""
-        return _lattice_reducer(self.relations) if self.relations.cols else ()
+        are reduced by."""
+        return _pivots(self.basis)
 
 
 @memo
@@ -172,19 +177,21 @@ class PresentedModel(ExactStructureModel):
 
     # -- ambient lattice helpers -------------------------------------------
 
+    # Both lattices contain the codomain relations and come as canonical
+    # Hermite bases, which are equal exactly when the lattices are, so the
+    # tests below compare them with ==.
+
     def _kernel_lattice(self, f: MorphismHandle) -> IntMatrix:
-        return preimage_basis(f.matrix, f.cod.payload.relations)
+        return preimage_basis(f.matrix, f.cod.payload.basis)
 
     def _image_lattice(self, f: MorphismHandle) -> IntMatrix:
-        return column_hnf(IntMatrix.hstack(f.matrix, f.cod.payload.relations))
+        return column_hnf(IntMatrix.hstack(f.matrix, f.cod.payload.basis))
 
     def _is_injective(self, f: MorphismHandle) -> bool:
-        return lattice_equal(self._kernel_lattice(f), f.dom.payload.relations)
+        return self._kernel_lattice(f) == f.dom.payload.basis
 
     def _is_surjective(self, f: MorphismHandle) -> bool:
-        return lattice_contains(
-            IntMatrix.hstack(f.matrix, f.cod.payload.relations),
-            IntMatrix.identity(f.cod.payload.ngens))
+        return self._image_lattice(f) == IntMatrix.identity(f.cod.payload.ngens)
 
     # -- subobjects and quotients ----------------------------------------
 
@@ -254,7 +261,26 @@ class PresentedModel(ExactStructureModel):
         if not (p @ i).is_zero():
             return False
         return self._is_injective(i) and self._is_surjective(p) and \
-            lattice_equal(self._kernel_lattice(p), self._image_lattice(i))
+            self._kernel_lattice(p) == self._image_lattice(i)
+
+    def is_exact_at(self, u: MorphismHandle, v: MorphismHandle) -> bool:
+        # Let m be the image monic of u and e the coimage epic of v, for
+        # admissible u and v.  u = m e' with e' onto the image and v = m' e
+        # with m' monic, so im m = im u and ker e = ker v as lattices over
+        # the middle relations.  m is injective and e surjective, so in the
+        # ambient abelian category (m, e) is short exact iff ker e = im m:
+        # that is the whole test on fgab, vect and free_exact.  On the split
+        # models m has a left inverse s (a split test of SplitModel._analyze)
+        # and e a right inverse t (proved there), and their test asks e m = 0
+        # and (1 - m s)(1 - t e) = 0.  If ker e = im m, then e m = 0, and
+        # 1 - t e maps into ker e, which 1 - m s kills.  Conversely e m = 0
+        # puts im m in ker e, and x in ker e is (1 - t e) x, which 1 - m s
+        # kills, so x = m s x lies in im m.  Either way the joint is exact
+        # iff ker v = im u.  An abelian model admits every arrow, so only
+        # the others look up the analyses to refuse one.
+        if not self.abelian and None in (self.analyze(u), self.analyze(v)):
+            raise NotAdmissible("exactness is defined for admissible morphisms")
+        return self._kernel_lattice(v) == self._image_lattice(u)
 
     # -- projectivity --------------------------------------------------------
 

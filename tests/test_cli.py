@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from exactcat.cli import build_parser, main
+from exactcat import cli
+from exactcat.cli import MAX_GENS, MAX_ITERS, build_parser, main
 from exactcat.documents import (
     MAX_ENTRY_BITS,
     MAX_MATRIX_CELLS,
@@ -296,6 +297,20 @@ def test_negative_argument_is_exit_3_naming_the_bound(argv, bound, capsys):
     code, out = run_cli(*argv)
     assert code == 3 and out == ""
     assert capsys.readouterr().err == f"precondition violated: {bound}\n"
+
+
+@pytest.mark.parametrize("flag,name,bound", [("--iters", "MAX_ITERS", MAX_ITERS),
+                                              ("--max-gens", "MAX_GENS", MAX_GENS)])
+def test_check_past_its_upper_bound_is_exit_3_and_runs_no_law(flag, name, bound,
+                                                              monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(cli, "run_suites", lambda *args: ran.append(args) or [])
+    code, out = run_cli("check", flag, str(bound + 1))
+    assert code == 3 and out == "" and ran == []
+    assert capsys.readouterr().err == (
+        f"precondition violated: {flag} {bound + 1} exceeds the bound {name} = {bound}\n")
+    code, _ = run_cli("check", flag, str(bound))   # the bound itself is accepted
+    assert code == 0 and len(ran) == 1
 
 
 def _zeros_literal(rows, cols):

@@ -1,0 +1,238 @@
+"""Exactness at a joint and the certificates built from it.
+
+Presented models decide a joint u, v as ker v = im u on canonical Hermite
+bases (``PresentedModel.is_exact_at``), and ``is_acyclic`` hands out a
+certificate whose parts are built when read.  The oracles here are the
+generic path (image monic and coimage epic short exact) with the ambient
+short exactness written on raw relation matrices through
+``lattice_equal`` and ``lattice_contains``, and the eager certificate that
+reads every part off the analyses at once.
+"""
+
+import random
+
+import pytest
+
+from exactcat import models
+from exactcat.complexes import (
+    AcyclicityCertificate,
+    PeriodicComplex,
+    chain_complex,
+    is_acyclic,
+    object_as_complex,
+    periodic_idempotent_complex,
+    periodic_is_acyclic,
+)
+from exactcat.diagrams import is_exact_pair
+from exactcat.documents import parse_model_name
+from exactcat.intlinalg import IntMatrix, lattice_contains, lattice_equal, preimage_basis
+from exactcat.kernel import ExactStructureModel, GenBounds, NotAdmissible
+from exactcat.laws import _spliced_acyclic
+from exactcat.models import PresentedModel, SplitModel, fgab
+
+PRESENTED = ["fgab", "vect:3", "fgab_split", "free_exact", "free_split", "even_rank_split"]
+COMPLETED = ["completion:fgab", "completion:even_rank_split"]
+BOUNDS = GenBounds(max_gens=3)
+
+
+def _oracle_short_exact(model, i, p):
+    """The split models' inverse test, or ambient short exactness on the
+    raw relation matrices."""
+    if isinstance(model, SplitModel) or not isinstance(model, PresentedModel):
+        return model._is_short_exact(i, p)
+    if not (p @ i).is_zero():
+        return False
+    mid, quot = i.cod.payload, p.cod.payload
+    return (lattice_equal(preimage_basis(i.matrix, mid.relations), i.dom.payload.relations)
+            and lattice_contains(IntMatrix.hstack(p.matrix, quot.relations),
+                                 IntMatrix.identity(quot.ngens))
+            and lattice_equal(preimage_basis(p.matrix, quot.relations),
+                              IntMatrix.hstack(i.matrix, mid.relations)))
+
+
+def _oracle_exact_pair(u, v):
+    """``is_exact_pair`` before joints became a model hook."""
+    au, av = u.model.analyze(u), v.model.analyze(v)
+    if au is None or av is None:
+        raise NotAdmissible("exactness is defined for admissible morphisms")
+    return _oracle_short_exact(u.model, au.image_monic, av.coimage_epic)
+
+
+def _verdict(fn, u, v):
+    try:
+        return fn(u, v)
+    except NotAdmissible:
+        return "refused"
+
+
+def _cokernel_or_zero(model, f):
+    c = model.cokernel(f)
+    return c if c is not None else model.zero_morphism(f.cod, model.zero_object())
+
+
+def _composable_pairs(model, rng):
+    s = model.random_ses(rng, BOUNDS)
+    yield s.i, s.p
+    a, b, c = (model.random_object(rng, BOUNDS) for _ in range(3))
+    f = model.random_morphism(rng, a, b)
+    k = model.kernel(f)
+    if k is not None:
+        yield k, f
+    q = _cokernel_or_zero(model, f)
+    yield f, q
+    yield f, model.random_morphism(rng, q.cod, c) @ q
+    yield f, model.random_morphism(rng, b, c)
+    yield model.zero_morphism(model.zero_object(), a), f
+    yield f, model.zero_morphism(b, model.zero_object())
+    m = model.random_admissible_monic_from(rng, b, BOUNDS)
+    yield m, _cokernel_or_zero(model, m)
+
+
+@pytest.mark.parametrize("name", PRESENTED)
+def test_exact_pair_matches_the_generic_path(name):
+    model = parse_model_name(name)
+    rng = random.Random(2501)
+    seen = set()
+    for _ in range(12):
+        for u, v in _composable_pairs(model, rng):
+            want = _verdict(_oracle_exact_pair, u, v)
+            assert _verdict(is_exact_pair, u, v) == want, (name, u, v)
+            seen.add(want)
+    assert {True, False} <= seen
+    assert ("refused" in seen) == (not model.abelian)
+
+
+def _random_complexes(model, rng):
+    yield _spliced_acyclic(model, rng, BOUNDS)
+    a, b, c = (model.random_object(rng, BOUNDS) for _ in range(3))
+    f = model.random_morphism(rng, a, b)
+    yield chain_complex(model, 0, [a, b], [f])
+    q = _cokernel_or_zero(model, f)
+    yield chain_complex(model, -1, [a, b, q.cod], [f, q])
+    yield chain_complex(model, 0, [a, b, c], [f, model.random_morphism(rng, q.cod, c) @ q])
+    k = model.kernel(f)
+    if k is not None:
+        yield chain_complex(model, 1, [k.dom, a, b, q.cod], [k, f, q])
+    yield object_as_complex(a, degree=2)
+
+
+def _oracle_certificate(x):
+    """``is_acyclic`` before joints became a model hook and before its
+    certificate was built lazily."""
+    ds = [x.differential(n) for n in range(x.lo - 1, x.hi + 1)]
+    analyses = [d.model.analyze(d) for d in ds]
+    if any(an is None for an in analyses) or not all(
+            _oracle_exact_pair(u, v) for u, v in zip(ds, ds[1:])):
+        return None
+    degrees = range(x.lo, x.hi + 2)
+    return ({n: an.image_object for n, an in zip(degrees, analyses)},
+            {n: an.coimage_epic for n, an in zip(degrees, analyses)},
+            {n: an.image_monic for n, an in zip(degrees, analyses)})
+
+
+def _same_arrow(u, v):
+    return u.dom == v.dom and u.cod == v.cod and u.matrix == v.matrix
+
+
+def _assert_certificate_matches(cert, eager):
+    zobj, epics, monics = eager
+    x = cert.complex
+    for n in range(x.lo - 2, x.hi + 4):
+        assert cert.z_object(n) == zobj.get(n, x.model.zero_object())
+        if n in monics:
+            assert _same_arrow(cert.monic(n), monics[n])
+            assert _same_arrow(cert.epic(n), epics[n])
+        else:
+            assert cert.monic(n).is_zero() and cert.epic(n).is_zero()
+    assert cert.z_objects == zobj
+    assert sorted(cert.epics) == sorted(epics) and sorted(cert.monics) == sorted(monics)
+
+
+@pytest.mark.parametrize("name", PRESENTED + COMPLETED)
+def test_is_acyclic_matches_the_eager_certificate(name):
+    model = parse_model_name(name)
+    rng = random.Random(2502)
+    verdicts = set()
+    for _ in range(6):
+        for x in _random_complexes(model, rng):
+            cert, eager = is_acyclic(x), _oracle_certificate(x)
+            assert (cert is None) == (eager is None), (name, x)
+            verdicts.add(cert is not None)
+            if cert is not None:
+                _assert_certificate_matches(cert, eager)
+    assert verdicts == {True, False}
+
+
+def _random_periodic(model, rng):
+    a, p = model.random_split_pair(rng, BOUNDS)
+    yield periodic_idempotent_complex(model, a, p, 2)
+    b = model.random_object(rng, BOUNDS)
+    f = model.random_morphism(rng, a, b)
+    yield PeriodicComplex(model, (a, b), (f, model.zero_morphism(b, a)))
+    s = model.random_ses(rng, BOUNDS)
+    yield PeriodicComplex(model, (s.sub, s.mid, s.quot),
+                          (s.i, s.p, model.zero_morphism(s.quot, s.sub)))
+    edge = model.idempotent_edge()
+    if edge is not None:
+        yield periodic_idempotent_complex(model, *edge, 4)
+
+
+@pytest.mark.parametrize("name", PRESENTED + COMPLETED)
+def test_periodic_is_acyclic_matches_the_generic_path(name):
+    model = parse_model_name(name)
+    rng = random.Random(2503)
+    verdicts = set()
+    for _ in range(6):
+        for x in _random_periodic(model, rng):
+            d = x.differentials
+            ds = d[-1:] + d
+            oracle = all(model.analyze(e) is not None for e in ds) and all(
+                _oracle_exact_pair(u, v) for u, v in zip(ds, ds[1:]))
+            assert (periodic_is_acyclic(x) is not None) == oracle, (name, x)
+            verdicts.add(oracle)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name", ["fgab", "vect:3"])
+def test_is_acyclic_builds_no_image_factorisation_until_read(name, monkeypatch):
+    model = parse_model_name(name)
+    calls = []
+    build = PresentedModel._image_factorisation
+
+    def counted(self, f):
+        calls.append(f)
+        return build(self, f)
+
+    monkeypatch.setattr(PresentedModel, "_image_factorisation", counted)
+    ExactStructureModel._analysis.cache_clear()
+    x = _spliced_acyclic(model, random.Random(2504), BOUNDS)
+    calls.clear()
+    cert = is_acyclic(x)
+    assert cert is not None and calls == []
+    assert cert.z_object(x.lo + 1) is not None
+    assert len(calls) == 1
+    cert.epic(x.lo + 1)
+    cert.monic(x.lo + 1)
+    assert len(calls) == 1   # both come from the factorisation just built
+
+
+def test_certificate_takes_a_construction_splice_as_given():
+    a = fgab().object(1)
+    one = fgab().identity(a)
+    x = chain_complex(fgab(), 0, [a, a], [one])
+    zero = fgab().zero_object()
+    epics = {1: one}
+    monics = {1: one, 0: fgab().zero_morphism(zero, a)}
+    cert = AcyclicityCertificate(x, epics, monics)
+    assert cert.epics is epics and cert.monics is monics
+    assert cert.z_objects == {1: a, 0: zero}
+    assert cert.epic(0).is_zero() and cert.epic(0).cod == zero
+
+
+def test_presented_objects_carry_their_hermite_basis():
+    assert models.cyclic(0).payload.basis == IntMatrix.zeros(1, 0)
+    free3 = fgab().object(3).payload
+    assert free3.basis is free3.relations
+    b = fgab().object(2, IntMatrix.from_rows([[2, 4], [0, 6]])).payload
+    assert b.basis == IntMatrix.from_rows([[2, 0], [0, 6]])
+    assert b.pivots == ((0, (2, 0)), (1, (0, 6)))

@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from exactcat import resolutions  # noqa: E402
 from exactcat.complexes import _certified, is_acyclic  # noqa: E402
+from exactcat.documents import parse_model_name  # noqa: E402
 from exactcat.intlinalg import (  # noqa: E402
     IntMatrix,
     column_hnf,
     lattice_contains,
+    lattice_equal,
     preimage_basis,
     reduce_columns_mod_lattice,
     smith_normal_form,
@@ -21,7 +23,8 @@ from exactcat.intlinalg import (  # noqa: E402
     solve_rows_mod_lattice,
     unimodular_inverse,
 )
-from exactcat.models import fgab, iso_invariants  # noqa: E402
+from exactcat.kernel import GenBounds, PreconditionError  # noqa: E402
+from exactcat.models import cyclic, fgab, iso_invariants  # noqa: E402
 from exactcat.resolutions import projective_resolution  # noqa: E402
 
 
@@ -104,6 +107,51 @@ def test_preimage_basis_is_exactly_the_preimage(data):
     for j in range(x.cols):
         col = x.take_columns([j])
         assert lattice_contains(g, m @ col) == reduce_columns_mod_lattice(col, basis).is_zero()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_lattice_kernels_see_only_the_lattice_of_the_modulus(data):
+    # kernel and image lattices are taken over an object's basis, not its relations
+    m = data.draw(matrices(max_rows=5, max_cols=5))
+    g = data.draw(matrices(max_cols=5, rows=m.rows))
+    h = column_hnf(g)
+    assert preimage_basis(m, g) == preimage_basis(m, h)
+    assert column_hnf(IntMatrix.hstack(m, g)) == column_hnf(IntMatrix.hstack(m, h))
+
+
+PRESENTED = ["fgab", "vect:3", "fgab_split", "free_exact", "free_split", "even_rank_split"]
+
+
+def _edge_objects(model):
+    """The zero object and, where the model has them, zero relation columns."""
+    edge = [model.zero_object()]
+    for make in (lambda: cyclic(0, model=model),
+                 lambda: model.object(2, IntMatrix.zeros(2, 2))):
+        try:
+            edge.append(make())
+        except PreconditionError:
+            pass
+    return edge
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.sampled_from(PRESENTED), st.integers(0, 2**16))
+def test_injective_and_surjective_agree_with_the_lattice_oracles(name, seed):
+    model, rng, bounds = parse_model_name(name), random.Random(seed), GenBounds(max_gens=3)
+    pool = [model.random_object(rng, bounds) for _ in range(2)] + _edge_objects(model)
+    a, b = rng.choice(pool), rng.choice(pool)
+    s = model.random_ses(rng, bounds)
+    arrows = [model.random_morphism(rng, a, b), model.identity(a), s.i, s.p,
+              model.random_admissible_monic_from(rng, a, bounds),
+              model.random_admissible_epic_onto(rng, b, bounds)]
+    for f in arrows:
+        dom, cod = f.dom.payload, f.cod.payload
+        injective = lattice_equal(preimage_basis(f.matrix, cod.relations), dom.relations)
+        surjective = lattice_contains(IntMatrix.hstack(f.matrix, cod.relations),
+                                      IntMatrix.identity(cod.ngens))
+        assert model._is_injective(f) == injective
+        assert model._is_surjective(f) == surjective
 
 
 @st.composite
