@@ -212,8 +212,13 @@ class CompletedModel(ExactStructureModel):
     def is_admissible_epic(self, f: MorphismHandle) -> bool:
         return self.target.is_admissible_epic(self.to_target(f))
 
+    # splitting is an exact equivalence onto the target, so exactness is
+    # decided there
     def _is_short_exact(self, i: MorphismHandle, p: MorphismHandle) -> bool:
         return self.target.is_short_exact(self.to_target(i), self.to_target(p))
+
+    def is_exact_at(self, u: MorphismHandle, v: MorphismHandle) -> bool:
+        return self.target.is_exact_at(self.to_target(u), self.to_target(v))
 
     def is_iso(self, f: MorphismHandle) -> bool:
         return self.target.is_iso(self.to_target(f))

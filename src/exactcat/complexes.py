@@ -345,8 +345,9 @@ class AcyclicityCertificate:
 def _spliced(differentials: Sequence[MorphismHandle]) -> Optional[list[Analysis]]:
     """Analyses of consecutive differentials when they splice exactly, or None.
 
-    Each differential must be admissible, and the model must find every
-    joint exact (``is_exact_at``).
+    Each differential must be admissible (have an analysis), and the model
+    must find every joint exact (``is_exact_at``, whose inputs the analyses
+    have just shown admissible).
     """
     analyses = []
     for d in differentials:

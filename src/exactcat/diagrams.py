@@ -60,10 +60,15 @@ def square_is_bicartesian(u: MorphismHandle, v: MorphismHandle,
 
 
 def is_exact_pair(u: MorphismHandle, v: MorphismHandle) -> bool:
-    """Exactness at the joint of two consecutive admissible morphisms."""
+    """Exactness at the joint of two consecutive admissible morphisms; a
+    non-admissible one is refused with NotAdmissible."""
     if u.cod != v.dom:
         raise ComposabilityError("exactness requires composable arrows")
-    return u.model.is_exact_at(u, v)
+    model = u.model
+    # an abelian model admits every arrow
+    if not model.abelian and None in (model.analyze(u), model.analyze(v)):
+        raise NotAdmissible("exactness is defined for admissible morphisms")
+    return model.is_exact_at(u, v)
 
 
 def verify_exact_sequence(arrows: Sequence[MorphismHandle]) -> bool:

@@ -89,9 +89,10 @@ class MorphismHandle:
     model (equality modulo the codomain relation lattice).
 
     Invariant: ``matrix`` is always the canonical representative modulo the
-    codomain relations (``reduce_columns_mod_lattice``), and on a completion
-    it is already sandwiched between the idempotents of its endpoints.  The
-    model's arithmetic and its ``analyze`` memo rely on it.
+    codomain relations (``reduce_by_pivots`` against the codomain's pivots),
+    and on a completion it is already sandwiched between the idempotents of
+    its endpoints.  The model's arithmetic and its ``analyze`` memo rely on
+    it.
     """
 
     dom: ObjectHandle
@@ -500,13 +501,10 @@ class ExactStructureModel:
         raise NotImplementedError
 
     def is_exact_at(self, u: MorphismHandle, v: MorphismHandle) -> bool:
-        """Exactness at the joint of composable admissible arrows u, v: the
-        image monic of u and the coimage epic of v are short exact.  A
-        non-admissible arrow is refused with NotAdmissible."""
-        au, av = self.analyze(u), self.analyze(v)
-        if au is None or av is None:
-            raise NotAdmissible("exactness is defined for admissible morphisms")
-        return self.is_short_exact(au.image_monic, av.coimage_epic)
+        """Exactness at the joint of composable arrows u, v, which must be
+        admissible: the image monic of u and the coimage epic of v are short
+        exact."""
+        raise NotImplementedError
 
     def is_projective(self, a: ObjectHandle) -> bool:
         raise NotImplementedError

@@ -19,8 +19,10 @@ representation, one class per structure:
 category and, by default, decides admissibility there, treats every
 object as projective and generates admissible arrows from split data.
 Each model class overrides exactly the admissibility tests, analysis,
-projective covers and random generators that its structure changes;
-``SplitModel`` holds the split structure its three split models share.
+projective covers and random generators that its structure changes, and
+short exactness follows from admissibility and one lattice test
+(``PresentedModel._is_short_exact``) on every model; ``SplitModel`` holds
+the split structure its three split models share.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from .kernel import (
     InternalCheckError,
     IsoInvariants,
     MorphismHandle,
-    NotAdmissible,
     ObjectAbsent,
     ObjectHandle,
     PreconditionError,
@@ -257,30 +258,33 @@ class PresentedModel(ExactStructureModel):
     def is_admissible_epic(self, f: MorphismHandle) -> bool:
         return self._is_surjective(f)
 
-    def _is_short_exact(self, i: MorphismHandle, p: MorphismHandle) -> bool:
-        if not (p @ i).is_zero():
-            return False
-        return self._is_injective(i) and self._is_surjective(p) and \
-            self._kernel_lattice(p) == self._image_lattice(i)
+    # One lattice test decides every joint and every pair on the six
+    # presented models: (i, p) is short exact iff i is an admissible monic,
+    # p an admissible epic and ker p = im i, and a joint of admissible u, v
+    # is exact iff ker v = im u.  ker p = im i already gives p i = 0.  A
+    # joint is the pair of the image monic m of u and the coimage epic e of
+    # v, which are admissible, and im m = im u, ker e = ker v as lattices
+    # over the middle relations.  The models' own short exactness agrees:
+    #
+    # * fgab and vect: admissible means injective or surjective, and then
+    #   (i, p) is short exact iff ker p = im i.
+    # * The split models: given a left inverse s of i and a right inverse t
+    #   of p, (i, p) splits iff p i = 0 and (1 - i s)(1 - t p) = 0: a split
+    #   pair satisfies both, and if both hold, (s, (1 - i s) t) is a
+    #   witness pair.
+    #   If ker p = im i, then p i = 0, and 1 - t p maps into ker p, which
+    #   1 - i s kills.  Conversely p i = 0 puts im i in ker p, and x in
+    #   ker p is (1 - t p) x, which 1 - i s kills, so x = i s x is in im i.
+    # * free_exact: the saturation conjunct of is_admissible_monic cannot
+    #   change a verdict, because when ker p = im i and p is onto a free
+    #   group, im i = ker p is saturated.
 
     def is_exact_at(self, u: MorphismHandle, v: MorphismHandle) -> bool:
-        # Let m be the image monic of u and e the coimage epic of v, for
-        # admissible u and v.  u = m e' with e' onto the image and v = m' e
-        # with m' monic, so im m = im u and ker e = ker v as lattices over
-        # the middle relations.  m is injective and e surjective, so in the
-        # ambient abelian category (m, e) is short exact iff ker e = im m:
-        # that is the whole test on fgab, vect and free_exact.  On the split
-        # models m has a left inverse s (a split test of SplitModel._analyze)
-        # and e a right inverse t (proved there), and their test asks e m = 0
-        # and (1 - m s)(1 - t e) = 0.  If ker e = im m, then e m = 0, and
-        # 1 - t e maps into ker e, which 1 - m s kills.  Conversely e m = 0
-        # puts im m in ker e, and x in ker e is (1 - t e) x, which 1 - m s
-        # kills, so x = m s x lies in im m.  Either way the joint is exact
-        # iff ker v = im u.  An abelian model admits every arrow, so only
-        # the others look up the analyses to refuse one.
-        if not self.abelian and None in (self.analyze(u), self.analyze(v)):
-            raise NotAdmissible("exactness is defined for admissible morphisms")
         return self._kernel_lattice(v) == self._image_lattice(u)
+
+    def _is_short_exact(self, i: MorphismHandle, p: MorphismHandle) -> bool:
+        return self.is_admissible_monic(i) and self.is_admissible_epic(p) and \
+            self.is_exact_at(i, p)
 
     # -- projectivity --------------------------------------------------------
 
@@ -504,23 +508,6 @@ class SplitModel(PresentedModel):
     def is_admissible_epic(self, f: MorphismHandle) -> bool:
         # a right inverse must exist
         return self.solve_right_factor(f, self.identity(f.cod)) is not None
-
-    def _is_short_exact(self, i: MorphismHandle, p: MorphismHandle) -> bool:
-        if not (p @ i).is_zero():
-            return False
-        # Split exact iff some s i = 1, p t = 1 with i s + t p = 1.  Any
-        # one-sided inverses s, t decide it: (1 - i s)(1 - t p) = 0.  If
-        # that holds, (s, (1 - i s) t) is a witness pair, since
-        # p (1 - i s) t = 1 and i s + (1 - i s) t p = 1.  If the pair
-        # splits, 1 - t p maps into ker p = im i, which 1 - i s kills.
-        s = self.solve_left_factor(i, self.identity(i.dom))
-        if s is None:
-            return False
-        t = self.solve_right_factor(p, self.identity(p.cod))
-        if t is None:
-            return False
-        one = self.identity(i.cod)
-        return ((one - i @ s) @ (one - t @ p)).is_zero()
 
     def random_ses(self, rng: random.Random, bounds: GenBounds) -> ShortExactSequence:
         a = self.random_object(rng, bounds)

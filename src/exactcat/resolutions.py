@@ -35,7 +35,7 @@ from .complexes import (
     mapping_cone,
     _homology,
 )
-from .diagrams import is_exact_pair
+from .diagrams import verify_exact_sequence
 from .intlinalg import IntMatrix, memo, solve_columns_mod_lattice
 from .kernel import (
     InternalCheckError,
@@ -562,8 +562,8 @@ def derived_les(functor: FunctorSpec, s: ShortExactSequence,
     zero_head = model.zero_morphism(model.zero_object(), arrows[0].dom)
     zero_tail = model.zero_morphism(arrows[-1].cod, model.zero_object())
     seq = [zero_head] + arrows + [zero_tail]
-    exact = all(is_exact_pair(u, v) for u, v in zip(seq, seq[1:]))
-    return LongExactSequenceResult(functor, s, tuple(arrows), tuple(objects), exact)
+    return LongExactSequenceResult(functor, s, tuple(arrows), tuple(objects),
+                                    verify_exact_sequence(seq))
 
 
 # -- named derived functors -----------------------------------------------

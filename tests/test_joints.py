@@ -1,12 +1,17 @@
 """Exactness at a joint and the certificates built from it.
 
 Presented models decide a joint u, v as ker v = im u on canonical Hermite
-bases (``PresentedModel.is_exact_at``), and ``is_acyclic`` hands out a
-certificate whose parts are built when read.  The oracles here are the
-generic path (image monic and coimage epic short exact) with the ambient
-short exactness written on raw relation matrices through
-``lattice_equal`` and ``lattice_contains``, and the eager certificate that
-reads every part off the analyses at once.
+bases (``PresentedModel.is_exact_at``), and a pair (i, p) as that test
+after the admissibility of i and p; completions decide both on their
+target, ``diagrams.is_exact_pair`` alone refuses a non-admissible arrow,
+and ``is_acyclic`` hands out a certificate whose parts are built when
+read.  The oracles here are the image monic and coimage epic of a joint
+tested for short exactness independently of that code: on the split
+models by one-sided inverses, elsewhere by ambient short exactness
+written on raw relation matrices through ``lattice_equal`` and
+``lattice_contains``, and on a completion by the same oracle on its
+target.  The certificate oracle reads every part off the analyses at
+once.
 """
 
 import random
@@ -14,6 +19,7 @@ import random
 import pytest
 
 from exactcat import models
+from exactcat.completion import CompletedModel
 from exactcat.complexes import (
     AcyclicityCertificate,
     PeriodicComplex,
@@ -28,7 +34,7 @@ from exactcat.documents import parse_model_name
 from exactcat.intlinalg import IntMatrix, lattice_contains, lattice_equal, preimage_basis
 from exactcat.kernel import ExactStructureModel, GenBounds, NotAdmissible
 from exactcat.laws import _spliced_acyclic
-from exactcat.models import PresentedModel, SplitModel, fgab
+from exactcat.models import PresentedModel, SplitModel, fgab, free_exact
 
 PRESENTED = ["fgab", "vect:3", "fgab_split", "free_exact", "free_split", "even_rank_split"]
 COMPLETED = ["completion:fgab", "completion:even_rank_split"]
@@ -36,12 +42,22 @@ BOUNDS = GenBounds(max_gens=3)
 
 
 def _oracle_short_exact(model, i, p):
-    """The split models' inverse test, or ambient short exactness on the
-    raw relation matrices."""
-    if isinstance(model, SplitModel) or not isinstance(model, PresentedModel):
-        return model._is_short_exact(i, p)
+    """Short exactness of (i, p) without the models' exactness code: the
+    split models' one-sided-inverse test, ambient short exactness on the
+    raw relation matrices, or either on the target of a completion."""
+    if isinstance(model, CompletedModel):
+        return _oracle_short_exact(model.target, model.to_target(i), model.to_target(p))
     if not (p @ i).is_zero():
         return False
+    if isinstance(model, SplitModel):
+        # split iff (1 - i s)(1 - t p) = 0 for a left inverse s of i and a
+        # right inverse t of p
+        s = model.solve_left_factor(i, model.identity(i.dom))
+        t = model.solve_right_factor(p, model.identity(p.cod))
+        if s is None or t is None:
+            return False
+        one = model.identity(i.cod)
+        return ((one - i @ s) @ (one - t @ p)).is_zero()
     mid, quot = i.cod.payload, p.cod.payload
     return (lattice_equal(preimage_basis(i.matrix, mid.relations), i.dom.payload.relations)
             and lattice_contains(IntMatrix.hstack(p.matrix, quot.relations),
@@ -100,6 +116,47 @@ def test_exact_pair_matches_the_generic_path(name):
             seen.add(want)
     assert {True, False} <= seen
     assert ("refused" in seen) == (not model.abelian)
+
+
+def test_free_exact_saturation_cannot_change_a_verdict():
+    # injective i whose image may be unsaturated, with p the cokernel of i,
+    # which divides by the saturation: exact iff im i is saturated
+    model = free_exact()
+    rng = random.Random(2505)
+    verdicts = set()
+    for _ in range(40):
+        b = model.object(rng.randrange(1, 4))
+        k = rng.randrange(1, b.payload.ngens + 1)
+        i = model.morphism(model.object(k), b, model._rand_matrix(rng, b.payload.ngens, k, 3))
+        if not model._is_injective(i):
+            continue
+        p = model.cokernel(i)
+        verdict = model.is_short_exact(i, p)
+        assert verdict == _oracle_short_exact(model, i, p) == model.is_admissible_monic(i)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+NON_ABELIAN = ["fgab_split", "free_exact", "free_split", "even_rank_split",
+               "completion:fgab_split", "completion:even_rank_split"]
+
+
+@pytest.mark.parametrize("name", NON_ABELIAN)
+def test_is_exact_pair_refuses_a_non_admissible_arrow(name):
+    # twice the identity of Z^2 is injective but neither split nor with a
+    # saturated image, so no non-abelian model admits it
+    model = parse_model_name(name)
+    if isinstance(model, CompletedModel):
+        a = model.embed(model.base.object(2))
+    else:
+        a = model.object(2)
+    two = model.morphism(a, a, IntMatrix.diagonal([2, 2]))
+    assert model.analyze(two) is None
+    one, zero = model.identity(a), model.zero_morphism(a, model.zero_object())
+    for u, v in [(two, zero), (one, two), (two, two)]:
+        with pytest.raises(NotAdmissible):
+            is_exact_pair(u, v)
+    assert is_exact_pair(one, zero) is True
 
 
 def _random_complexes(model, rng):
@@ -161,6 +218,32 @@ def test_is_acyclic_matches_the_eager_certificate(name):
             if cert is not None:
                 _assert_certificate_matches(cert, eager)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name", ["fgab_split", "even_rank_split"])
+def test_is_acyclic_looks_each_differential_up_once(name, monkeypatch):
+    model = parse_model_name(name)
+    rng = random.Random(2506)
+    lookups = []
+    analyze = ExactStructureModel.analyze
+
+    def counted(self, f):
+        lookups.append(f)
+        return analyze(self, f)
+
+    monkeypatch.setattr(ExactStructureModel, "analyze", counted)
+    acyclic = 0
+    for _ in range(6):
+        for x in _random_complexes(model, rng):
+            ds = [x.differential(n) for n in range(x.lo - 1, x.hi + 1)]
+            lookups.clear()
+            cert = is_acyclic(x)
+            if cert is not None:
+                acyclic += 1
+                assert len(lookups) == len(ds), (name, x)
+            else:
+                assert len(lookups) <= len(ds), (name, x)
+    assert acyclic
 
 
 def _random_periodic(model, rng):
