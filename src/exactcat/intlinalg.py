@@ -522,23 +522,13 @@ def _pivots(h: IntMatrix) -> Pivots:
     return tuple((next(i for i, x in enumerate(col) if x), col) for col in zip(*h.entries))
 
 
-@memo
-def _lattice_reducer(lattice_gens: IntMatrix) -> Pivots:
-    """The pivots of the lattice's HNF.  Its keys are among those of
-    ``column_hnf``, but each memo evicts its own least recently used
-    entries, so a miss here may still hit the Hermite memo."""
-    return _pivots(column_hnf(lattice_gens))
-
-
 def reduce_columns_mod_lattice(m: IntMatrix, lattice_gens: IntMatrix) -> IntMatrix:
     """Canonically reduce each column of ``m`` modulo the lattice.
 
     The result depends only on the coset of each column, not on its
     representative, and is zero exactly for the columns in the lattice.
     """
-    if lattice_gens.cols == 0 or m.cols == 0:
-        return m
-    return reduce_by_pivots(m, _lattice_reducer(lattice_gens))
+    return reduce_by_pivots(m, _pivots(column_hnf(lattice_gens)))
 
 
 def reduce_by_pivots(m: IntMatrix, pivots: Pivots) -> IntMatrix:

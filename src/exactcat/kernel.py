@@ -80,19 +80,20 @@ class ObjectHandle:
         return f"Obj[{self.model_id}:{self.payload!r}]"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MorphismHandle:
     """An arrow dom -> cod given by a matrix on generator coordinates.
 
-    Structural equality is deliberately not defined; two matrices can
-    present the same arrow.  Use ``same_as`` for arrow equality in the
-    model (equality modulo the codomain relation lattice).
+    Invariant: ``matrix`` is the canonical representative of the arrow's
+    coset modulo the codomain relations (``reduce_by_pivots`` against the
+    codomain's pivots).  Three places build handles and keep it:
+    ``morphism`` through ``_coerce_matrix``, ``_reduced`` for sums and
+    composites, and the closed-form structure maps of ``biproduct``.
 
-    Invariant: ``matrix`` is always the canonical representative modulo the
-    codomain relations (``reduce_by_pivots`` against the codomain's pivots),
-    and on a completion it is already sandwiched between the idempotents of
-    its endpoints.  The model's arithmetic and its ``analyze`` memo rely on
-    it.
+    So ``==`` (and ``same_as``) is arrow equality, and handles key the
+    ``analyze`` and ``is_short_exact`` memos: the reduction gives one
+    matrix per coset, and on a completion reducing a raw matrix gives what
+    reducing its sandwich gives (see ``_reduced``).
     """
 
     dom: ObjectHandle
@@ -104,7 +105,7 @@ class MorphismHandle:
         return self.dom.model
 
     def same_as(self, other: "MorphismHandle") -> bool:
-        return self.model.mor_equal(self, other)
+        return self == other
 
     def __matmul__(self, other: "MorphismHandle") -> "MorphismHandle":
         return self.model.compose(self, other)
@@ -119,7 +120,7 @@ class MorphismHandle:
         return self.model.negate(self)
 
     def is_zero(self) -> bool:
-        return self.model.is_zero_mor(self)
+        return self.matrix.is_zero()
 
     def __repr__(self) -> str:
         return f"Mor[{self.dom!r} -> {self.cod!r}; {self.matrix!r}]"
@@ -399,14 +400,6 @@ class ExactStructureModel:
     def negate(self, f: MorphismHandle) -> MorphismHandle:
         return self._reduced(f.dom, f.cod, -f.matrix)
 
-    def mor_equal(self, f: MorphismHandle, g: MorphismHandle) -> bool:
-        if f.dom != g.dom or f.cod != g.cod:
-            return False
-        return reduce_by_pivots(f.matrix - g.matrix, self._pivots(f.cod.payload)).is_zero()
-
-    def is_zero_mor(self, f: MorphismHandle) -> bool:
-        return reduce_by_pivots(f.matrix, self._pivots(f.cod.payload)).is_zero()
-
     # -- solving -------------------------------------------------------
 
     def solve_right_factor(self, m: MorphismHandle, t: MorphismHandle,
@@ -466,14 +459,9 @@ class ExactStructureModel:
     def cokernel(self, f: MorphismHandle) -> Optional[MorphismHandle]:
         raise NotImplementedError
 
-    def analyze(self, f: MorphismHandle) -> Optional[Analysis]:
-        # memoised: dom, cod and the canonical matrix determine the arrow
-        return self._analysis(f.dom, f.cod, f.matrix)
-
     @memo
-    def _analysis(self, dom: ObjectHandle, cod: ObjectHandle,
-                  matrix: IntMatrix) -> Optional[Analysis]:
-        return self._analyze(MorphismHandle(dom, cod, matrix))
+    def analyze(self, f: MorphismHandle) -> Optional[Analysis]:
+        return self._analyze(f)
 
     def _analyze(self, f: MorphismHandle) -> Optional[Analysis]:
         raise NotImplementedError
@@ -484,18 +472,9 @@ class ExactStructureModel:
     def is_admissible_epic(self, f: MorphismHandle) -> bool:
         raise NotImplementedError
 
-    def is_short_exact(self, i: MorphismHandle, p: MorphismHandle) -> bool:
-        # memoised like analyze: the endpoints and canonical matrices
-        # determine the pair
-        if i.cod != p.dom:
-            return False
-        return self._exactness(i.dom, i.cod, p.cod, i.matrix, p.matrix)
-
     @memo
-    def _exactness(self, sub: ObjectHandle, mid: ObjectHandle, quot: ObjectHandle,
-                   i_matrix: IntMatrix, p_matrix: IntMatrix) -> bool:
-        return self._is_short_exact(MorphismHandle(sub, mid, i_matrix),
-                                    MorphismHandle(mid, quot, p_matrix))
+    def is_short_exact(self, i: MorphismHandle, p: MorphismHandle) -> bool:
+        return i.cod == p.dom and self._is_short_exact(i, p)
 
     def _is_short_exact(self, i: MorphismHandle, p: MorphismHandle) -> bool:
         raise NotImplementedError

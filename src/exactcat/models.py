@@ -278,12 +278,21 @@ class PresentedModel(ExactStructureModel):
     # * free_exact: the saturation conjunct of is_admissible_monic cannot
     #   change a verdict, because when ker p = im i and p is onto a free
     #   group, im i = ker p is saturated.
+    #
+    # So _is_short_exact asks only that p be surjective.  On fgab, vect and
+    # free_exact that is is_admissible_epic.  On the split models, if
+    # ker p = im i, s is a left inverse of i and p is surjective, then
+    # c |-> (1 - i s) b for any b with p b = c is a right inverse of p: it
+    # is well defined because 1 - i s kills im i = ker p, and
+    # p (1 - i s) b = p b as p i = 0.  The monic side keeps its admissibility
+    # test: Z --2--> Z ->> Z/2 has ker p = im i and p surjective, but i has
+    # no left inverse.
 
     def is_exact_at(self, u: MorphismHandle, v: MorphismHandle) -> bool:
         return self._kernel_lattice(v) == self._image_lattice(u)
 
     def _is_short_exact(self, i: MorphismHandle, p: MorphismHandle) -> bool:
-        return self.is_admissible_monic(i) and self.is_admissible_epic(p) and \
+        return self.is_admissible_monic(i) and self._is_surjective(p) and \
             self.is_exact_at(i, p)
 
     # -- projectivity --------------------------------------------------------

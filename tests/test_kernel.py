@@ -4,9 +4,10 @@ import pytest
 
 from exactcat.completion import CompletedModel, complete
 from exactcat.documents import parse_model_name
-from exactcat.intlinalg import IntMatrix, column_hnf, saturation
+from exactcat.intlinalg import IntMatrix, column_hnf, reduce_by_pivots, saturation
 from exactcat.kernel import (
     GenBounds,
+    MorphismHandle,
     NotAdmissible,
     PreconditionError,
     analyze,
@@ -19,6 +20,7 @@ from exactcat.kernel import (
     pullback_along_epic,
     pushout_along_monic,
 )
+from exactcat.laws import LAW_SUITES, LawConfig, run_suites
 from exactcat.models import (
     FreeExactModel,
     SplitModel,
@@ -511,14 +513,17 @@ def test_analysis_builds_each_half_when_read(name, monkeypatch):
     model = parse_model_name(name)
     host = getattr(model, "target", model)   # the model whose kernels a completion lifts
     calls = []
+    # patched on the class: undoing a patch on the instance would leave the
+    # bound method behind as an instance attribute, which hides later
+    # class-level patches of the same method in other tests
     for meth in ("kernel", "cokernel", "_image_factorisation"):
-        def counted(f, _meth=meth, _orig=getattr(host, meth)):
+        def counted(self, f, _meth=meth, _orig=getattr(type(host), meth)):
             calls.append(_meth)
-            return _orig(f)
-        monkeypatch.setattr(host, meth, counted)
+            return _orig(self, f)
+        monkeypatch.setattr(type(host), meth, counted)
     rng = random.Random(31)
     for f in _seeded_arrows(model, rng, n=4):
-        type(model)._analysis.cache_clear()   # the target's analyses are built afresh
+        type(model).analyze.cache_clear()   # the target's analyses are built afresh
         if model is not host:
             model.to_target(f)   # splitting the endpoints factors their idempotents
             del calls[:]
@@ -549,24 +554,82 @@ def _exactness_cases(model, rng):
 @pytest.mark.parametrize("name", DIFFERENTIAL_MODELS)
 def test_memoised_exactness_matches_uncached(name):
     model = parse_model_name(name)
-    memo = type(model)._exactness
+    memo = type(model).is_short_exact
     cases = list(_exactness_cases(model, random.Random(f"exact {name}")))
     verdicts = []
     for i, p in cases:
         composable = i.cod == p.dom
         plain = composable and model._is_short_exact(i, p)
         assert model.is_short_exact(i, p) == plain
-        # an equal pair built afresh hits the memo; a pair that does not
-        # compose is refused before it
+        # an equal pair built afresh hits the memo, composable or not
         before = memo.cache_info()
         again = [model.morphism(g.dom, g.cod, g.matrix, check=False) for g in (i, p)]
         assert model.is_short_exact(*again) == plain
         after = memo.cache_info()
-        assert (after.hits - before.hits, after.misses - before.misses) == (int(composable), 0)
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
         verdicts.append((composable, plain))
     assert {(True, True), (True, False), (False, False)} <= set(verdicts)
     memo.cache_clear()
     assert [model.is_short_exact(i, p) for i, p in cases] == [v for _, v in verdicts]
+
+
+CLI_MODEL_NAMES = ALL_MODELS + ["completion:vect:3"]   # the twelve of the CI check sweep
+
+
+@pytest.mark.parametrize("name", CLI_MODEL_NAMES)
+def test_every_arrow_stores_its_canonical_matrix(name, monkeypatch):
+    # == is arrow equality only while every handle holds the matrix that
+    # morphism would store for it, whichever path built it
+    init, built = MorphismHandle.__init__, []
+
+    def checked(self, dom, cod, matrix):
+        init(self, dom, cod, matrix)
+        built.append(self.model._coerce_matrix(dom, cod, matrix) == matrix)
+
+    monkeypatch.setattr(MorphismHandle, "__init__", checked)
+    run_suites(parse_model_name(name),
+               LawConfig(seed=0, iterations=2, bounds=GenBounds(max_gens=2)), list(LAW_SUITES))
+    assert len(built) > 1000 and all(built)
+
+
+def _oracle_equal(f, g):
+    """Arrow equality as it was decided before handles compared by ==:
+    equal endpoints and a difference that reduces to zero."""
+    return f.dom == g.dom and f.cod == g.cod and _oracle_zero(f - g)
+
+
+def _oracle_zero(f):
+    return reduce_by_pivots(f.matrix, f.model._pivots(f.cod.payload)).is_zero()
+
+
+@pytest.mark.parametrize("name", CLI_MODEL_NAMES)
+def test_arrow_equality_matches_the_reduction(name):
+    # arrows built along different paths; each pair in `equal` is one arrow
+    model = parse_model_name(name)
+    rng = random.Random(f"equal {name}")
+    bounds = GenBounds(max_gens=3)
+    equal, other, arrows = [], [], []
+    for _ in range(20):
+        a, b, c = (model.random_object(rng, bounds) for _ in range(3))
+        f, g = model.random_morphism(rng, a, b), model.random_morphism(rng, a, b)
+        h = model.random_morphism(rng, c, a)
+        raw = f.matrix + g.matrix
+        equal += [((f + g) @ h, f @ h + g @ h), (f @ model.identity(a), f),
+                  (-f + f, model.zero_morphism(a, b)),
+                  (model._reduced(a, b, raw), model.morphism(a, b, raw, check=False))]
+        if isinstance(model, CompletedModel):
+            # a raw base arrow and its sandwich between the idempotents
+            m = model.base.random_morphism(rng, a.payload.base, b.payload.base).matrix
+            equal.append((model.morphism(a, b, m),
+                          model.morphism(a, b, b.payload.idem @ m @ a.payload.idem)))
+        other += [(f, g), ((f + g) @ h, f @ h)]
+        arrows += [f, g, -f + f, (f + g) @ h - f @ h - g @ h]
+    for x, y in equal + other:
+        assert x.same_as(y) == (x == y) == _oracle_equal(x, y)
+    assert all(x.same_as(y) for x, y in equal)
+    for x in arrows:
+        assert x.is_zero() == _oracle_zero(x)
+    assert {x.same_as(y) for x, y in other} == {x.is_zero() for x in arrows} == {True, False}
 
 
 def test_invalid_or_unhashable_payload_raises_precondition():

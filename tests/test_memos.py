@@ -56,7 +56,7 @@ def test_every_data_keyed_memo_is_bounded():
     # the walk reaches module-level memos and those defined in classes
     assert {"exactcat.intlinalg.column_hnf", "exactcat.resolutions.hom_structure",
             "exactcat.models.PresentedModel._hom_basis",
-            "exactcat.kernel.ExactStructureModel._exactness"} <= caches.keys()
+            "exactcat.kernel.ExactStructureModel.is_short_exact"} <= caches.keys()
     assert 0 < CACHE_SIZE < 10_000
 
 
