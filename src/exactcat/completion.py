@@ -320,8 +320,9 @@ def split_idempotent(x: ObjectHandle, q: MorphismHandle) -> SplitIdempotentResul
 class ExtendedFunctor:
     """Extension of an additive functor to the completions: (A, p) -> (F A, F p).
 
-    The inner functor provides ``apply_object``, ``apply_morphism`` and a
-    ``contravariant`` flag; a contravariant one reverses the arrows.
+    The inner functor provides ``apply_morphism`` and a ``contravariant``
+    flag; F A is read off F p, and a contravariant functor reverses the
+    arrows.
     """
 
     inner: object
@@ -364,9 +365,6 @@ class IdentityFunctor:
 
     contravariant = False
 
-    def apply_object(self, a: ObjectHandle) -> ObjectHandle:
-        return a
-
     def apply_morphism(self, f: MorphismHandle) -> MorphismHandle:
         return f
 
@@ -378,9 +376,6 @@ class ComposedFunctor:
 
     def __init__(self, g, f):
         self.g, self.f = g, f
-
-    def apply_object(self, a: ObjectHandle) -> ObjectHandle:
-        return self.g.apply_object(self.f.apply_object(a))
 
     def apply_morphism(self, m: MorphismHandle) -> MorphismHandle:
         return self.g.apply_morphism(self.f.apply_morphism(m))

@@ -18,11 +18,12 @@ representation, one class per structure:
 ``PresentedModel`` holds the lattice machinery of the ambient abelian
 category and, by default, decides admissibility there, treats every
 object as projective and generates admissible arrows from split data.
-Each model class overrides exactly the admissibility tests, analysis,
-projective covers and random generators that its structure changes, and
-short exactness follows from admissibility and one lattice test
-(``PresentedModel._is_short_exact``) on every model; ``SplitModel`` holds
-the split structure its three split models share.
+Each model class states its admissible monics and epics and overrides
+the projective covers and random generators that its structure changes;
+``PresentedModel`` derives the rest on every model: the admissible arrows
+(``_analyze``) and short exactness (``_is_short_exact``, one lattice
+test).  ``SplitModel`` holds the split structure its three split models
+share.
 """
 
 from __future__ import annotations
@@ -240,11 +241,37 @@ class PresentedModel(ExactStructureModel):
         return (self.morphism(f.dom, sq.ob, x, check=False),
                 self.morphism(sq.ob, f.cod, sq.gens, check=False))
 
+    # f is admissible iff f = m' e' for an admissible epic e' and an
+    # admissible monic m' (Def. 8.1).  On an abelian model every arrow is.
+    # On the four split and free models, f is admissible iff its ambient
+    # kernel k is an object and an admissible monic and its image monic m
+    # is an admissible monic.  Then f = m e for the coimage epic e, which each model admits
+    # as shown below; conversely k is the kernel of e' and m is m' up to
+    # isomorphism, so both are admissible when f is.
+    #
+    # * The split models: if k has a left inverse r, then 1 - k r kills k,
+    #   so 1 - k r = t e, and e t e = e gives e t = 1: e splits.
+    #   Conversely the kernel of a split epic is split.
+    # * free_exact: k is admissible, since a kernel between free groups is
+    #   saturated; m is admissible iff im f is saturated; and e maps onto
+    #   the free group im f, so it is admissible.
+    # * free_split takes free_exact's objects but the split monics: a split
+    #   image monic is saturated, so free_exact's test would add nothing.
+    # * even_rank_split: rank ker f + rank im f = rank dom is even, so the
+    #   kernel and the image are both objects or neither is, and so is the
+    #   cokernel, of rank rank cod - rank im f.  The kernel is read first,
+    #   and an arrow whose kernel is absent is refused.
+    #
+    # So every part of an admitted arrow's analysis exists.
+
     def _analyze(self, f: MorphismHandle) -> Optional[Analysis]:
-        # every part exists: only even_rank_split lacks objects, and its
-        # SplitModel._analyze reads the kernel before it returns an analysis
-        return Analysis(partial(self.kernel, f), partial(self.cokernel, f),
-                        partial(self._image_factorisation, f))
+        an = Analysis(partial(self.kernel, f), partial(self.cokernel, f),
+                      partial(self._image_factorisation, f))
+        if self.abelian or an.kernel_arrow is not None \
+                and self.is_admissible_monic(an.kernel_arrow) \
+                and self.is_admissible_monic(an.image_monic):
+            return an
+        return None
 
     # -- admissibility -----------------------------------------------------
 
@@ -487,28 +514,9 @@ class VectModel(FgabModel):
 
 
 class SplitModel(PresentedModel):
-    """The split exact structure: admissibility is decided by one-sided
-    inverses, and an arrow is analysed through its ambient factorisation."""
-
-    def _analyze(self, f: MorphismHandle) -> Optional[Analysis]:
-        # f is admissible iff it factors as a split epic followed by a split
-        # monic, i.e. iff its ambient kernel k and image monic m are split.
-        # If k has a left inverse r, then 1 - k r kills k, so 1 - k r = t e
-        # for the coimage epic e, and e t e = e gives e t = 1.  If m is
-        # split, its cokernel is split.  Conversely an admissible f has a
-        # summand kernel and a summand image.
-        #
-        # The kernel is read first: on even_rank_split it may be absent, and
-        # then f is not analysed.  If it exists, rank(f) = rank(dom) -
-        # rank(kernel) is even, so the image (rank rank(f)) and the cokernel
-        # (the quotient by the saturated image, rank rank(cod) - rank(f))
-        # are objects too, and every part of the analysis exists.
-        an = super()._analyze(f)
-        if an is None or an.kernel_arrow is None \
-                or not self.is_admissible_monic(an.kernel_arrow) \
-                or not self.is_admissible_monic(an.image_monic):
-            return None
-        return an
+    """The split exact structure: the admissible monics and epics are the
+    arrows with a one-sided inverse, and ``PresentedModel._analyze`` derives
+    the admissible arrows from them."""
 
     def is_admissible_monic(self, f: MorphismHandle) -> bool:
         # a left inverse must exist
@@ -545,11 +553,6 @@ class FreeExactModel(PresentedModel):
     def quotient_by(self, a: ObjectHandle, cols: IntMatrix) -> MorphismHandle:
         # quotients of free groups stay free: divide by the saturation
         return super().quotient_by(a, saturation(cols))
-
-    def _analyze(self, f: MorphismHandle) -> Optional[Analysis]:
-        if saturation(f.matrix) != column_hnf(f.matrix):
-            return None
-        return super()._analyze(f)
 
     def is_admissible_monic(self, f: MorphismHandle) -> bool:
         return self._is_injective(f) and \

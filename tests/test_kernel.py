@@ -490,11 +490,19 @@ def _seeded_arrows(model, rng, n=10):
 def test_lazy_analysis_matches_the_eager_one(name):
     model = parse_model_name(name)
     rng, order = random.Random(f"lazy {name}"), random.Random(name)
-    verdicts, absent = set(), 0
+    host = getattr(model, "target", model)   # where a completion factors its arrows
+    verdicts, absent, factored = set(), 0, set()
     for f in _seeded_arrows(model, rng):
         lazy, eager = model._analyze(f), _eager_analyze(model, f)
         verdicts.add(lazy is None)
         assert (lazy is None) == (eager is None)
+        if not model.abelian and model.kernel(f) is not None:
+            # Def. 8.1 itself: f is admissible iff its ambient coimage epic is
+            # an admissible epic and its image monic an admissible monic
+            e, m = host._image_factorisation(f if host is model else model.to_target(f))
+            admissible = host.is_admissible_epic(e) and host.is_admissible_monic(m)
+            assert (lazy is not None) == admissible
+            factored.add(admissible)
         if lazy is None:
             absent += model.model_id == "even_rank_split" and model.kernel(f) is None
             continue
@@ -504,7 +512,7 @@ def test_lazy_analysis_matches_the_eager_one(name):
             assert (x.dom, x.cod, x.matrix) == (y.dom, y.cod, y.matrix), PARTS[k]
     assert False in verdicts
     if model.model_id in ("fgab_split", "free_exact", "free_split", "even_rank_split"):
-        assert True in verdicts
+        assert True in verdicts and factored == {False, True}
     assert absent or model.model_id != "even_rank_split"   # odd-rank kernels were refused
 
 
