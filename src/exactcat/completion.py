@@ -33,7 +33,7 @@ from .kernel import (
 from .models import PresentedModel, free_split
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompletionObject:
     """A pair (A, p): an object of the base model with an idempotent on it."""
 
@@ -41,7 +41,7 @@ class CompletionObject:
     idem: IntMatrix
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class SplitData:
     target: ObjectHandle       # object of the target model presenting im(p)
     monic: IntMatrix           # target gens -> host gens, m r = p

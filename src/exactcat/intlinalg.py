@@ -53,7 +53,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntMatrix:
     """Immutable row-major integer matrix; 0xN and Nx0 shapes are legal."""
 
@@ -211,7 +211,7 @@ def _trusted(rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> IntM
     if rows < 0 or cols < 0:
         raise DimensionMismatch("negative matrix dimension")
     m = object.__new__(IntMatrix)
-    object.__setattr__(m, "rows", rows)   # as the frozen dataclass __init__ does
+    object.__setattr__(m, "rows", rows)   # every slot, as the frozen dataclass __init__ does
     object.__setattr__(m, "cols", cols)
     object.__setattr__(m, "entries", entries)
     return m
@@ -228,7 +228,7 @@ def _zeros(rows: int, cols: int) -> IntMatrix:
     return _trusted(rows, cols, ((0,) * cols,) * rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SmithDecomposition:
     """U @ A @ V = D with U, V unimodular and D a non-negative divisibility chain.
 

@@ -55,7 +55,7 @@ class InternalCheckError(ExactCatError):
     """A construction guaranteed by the axioms failed; indicates a bug."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ObjectHandle:
     """An object of a model category: owning model plus model-specific payload."""
 
@@ -71,7 +71,8 @@ class ObjectHandle:
             return True
         if not isinstance(other, ObjectHandle):
             return NotImplemented
-        return self.model_id == other.model_id and self.payload == other.payload
+        return self.model_id == other.model_id and (
+            self.payload is other.payload or self.payload == other.payload)
 
     def __hash__(self) -> int:
         return hash((self.model_id, self.payload))
@@ -80,7 +81,7 @@ class ObjectHandle:
         return f"Obj[{self.model_id}:{self.payload!r}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MorphismHandle:
     """An arrow dom -> cod given by a matrix on generator coordinates.
 
@@ -126,7 +127,7 @@ class MorphismHandle:
         return f"Mor[{self.dom!r} -> {self.cod!r}; {self.matrix!r}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IsoInvariants:
     """Invariant factors: free rank plus the ascending torsion chain."""
 
@@ -221,7 +222,7 @@ class Analysis:
         return self.cokernel_arrow.cod
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class BiproductData:
     ob: ObjectHandle
     inj1: MorphismHandle

@@ -28,11 +28,9 @@ share.
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from math import gcd
 from typing import Optional
 
 from .intlinalg import (
@@ -65,7 +63,8 @@ from .kernel import (
 
 @dataclass(frozen=True)
 class PresentedObject:
-    """Cokernel presentation: Z^ngens modulo the column lattice of ``relations``."""
+    """Cokernel presentation: Z^ngens modulo the column lattice of ``relations``;
+    ``presented`` shares one object, and so its fields below, per payload."""
 
     ngens: int
     relations: IntMatrix
@@ -86,25 +85,32 @@ class PresentedObject:
         are reduced by."""
         return _pivots(self.basis)
 
+    @cached_property
+    def normal_form(self) -> tuple[PresentedObject, IntMatrix, IntMatrix]:
+        """(canonical, to_raw, from_raw): the Smith-reduced presentation and the
+        change of generators.  from_raw @ to_raw is the identity on the
+        canonical generators and to_raw @ from_raw the identity modulo the raw
+        relations.  Canonical presentations list torsion generators first
+        (ascending divisibility), free ones last, with diagonal relations."""
+        snf = smith_normal_form(self.relations)
+        diag = snf.diagonal + (0,) * (self.ngens - len(snf.diagonal))
+        kept = [i for i, d in enumerate(diag) if d != 1]
+        torsion = [d for d in diag if d > 1]
+        new_rel = IntMatrix.diagonal(torsion, rows=len(kept), cols=len(torsion))
+        return presented(len(kept), new_rel), snf.U_inv.take_columns(kept), snf.U.take_rows(kept)
+
+    @cached_property
+    def invariants(self) -> IsoInvariants:
+        """Free rank and torsion chain, read off the normal form."""
+        canon = self.normal_form[0]
+        torsion = tuple(canon.relations.entries[i][i] for i in range(canon.relations.cols))
+        return IsoInvariants(canon.ngens - len(torsion), torsion)
+
 
 @memo
-def normalize_presentation(payload: PresentedObject) -> tuple[PresentedObject, IntMatrix, IntMatrix]:
-    """Canonical (Smith-reduced) presentation plus the change of generators.
-
-    Returns (canonical, to_raw, from_raw) where from_raw @ to_raw is the
-    identity on the canonical generators and to_raw @ from_raw is the
-    identity modulo the raw relation lattice.  Canonical presentations list
-    torsion generators first (ascending divisibility) and free generators
-    last, with a diagonal relation matrix.
-    """
-    n, rel = payload.ngens, payload.relations
-    snf = smith_normal_form(rel)
-    m = min(rel.rows, rel.cols)
-    diag = [snf.D.entries[i][i] if i < m else 0 for i in range(n)]
-    kept = [i for i in range(n) if diag[i] != 1]
-    torsion = [diag[i] for i in kept if diag[i] > 1]
-    new_rel = IntMatrix.diagonal(torsion, rows=len(kept), cols=len(torsion))
-    return PresentedObject(len(kept), new_rel), snf.U_inv.take_columns(kept), snf.U.take_rows(kept)
+def presented(ngens: int, relations: IntMatrix) -> PresentedObject:
+    """The one shared object of a payload (while the table holds it)."""
+    return PresentedObject(ngens, relations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,13 +125,6 @@ class Subquotient:
     def coords(self, v: IntMatrix) -> Optional[IntMatrix]:
         """X with gens X = v mod col(modulus), or None if v leaves the span."""
         return solve_columns_mod_lattice(self.gens, v, self.modulus)
-
-
-@memo
-def _invariants_of(payload: PresentedObject) -> IsoInvariants:
-    canon, _, _ = normalize_presentation(payload)
-    torsion = tuple(canon.relations.entries[i][i] for i in range(canon.relations.cols))
-    return IsoInvariants(canon.ngens - len(torsion), torsion)
 
 
 class PresentedModel(ExactStructureModel):
@@ -157,18 +156,17 @@ class PresentedModel(ExactStructureModel):
     def object(self, ngens: int, relations: Optional[IntMatrix] = None) -> ObjectHandle:
         if relations is None:
             relations = IntMatrix.zeros(ngens, 0)
-        return self._obj(PresentedObject(ngens, relations))
+        return self._obj(presented(ngens, relations))
 
     @memo
     def zero_object(self) -> ObjectHandle:
         return self.object(0)
 
     def iso_invariants(self, a: ObjectHandle) -> IsoInvariants:
-        return _invariants_of(a.payload)
+        return a.payload.invariants
 
     def biproduct_payload(self, a: PresentedObject, b: PresentedObject) -> PresentedObject:
-        return PresentedObject(a.ngens + b.ngens,
-                               IntMatrix.block_diag(a.relations, b.relations))
+        return presented(a.ngens + b.ngens, IntMatrix.block_diag(a.relations, b.relations))
 
     def _validate_morphism_matrix(self, dom: ObjectHandle, cod: ObjectHandle,
                                   matrix: IntMatrix) -> None:
@@ -201,7 +199,7 @@ class PresentedModel(ExactStructureModel):
         """The group spanned by the columns of gens modulo col(modulus),
         Smith-canonical: its relations are {x : gens x in col(modulus)}."""
         rel = preimage_basis(gens, modulus)
-        canon, to_raw, _ = normalize_presentation(PresentedObject(gens.cols, rel))
+        canon, to_raw, _ = presented(gens.cols, rel).normal_form
         return Subquotient(self._obj(canon), gens @ to_raw, modulus)
 
     def subobject(self, a: ObjectHandle, lattice_basis: IntMatrix) -> MorphismHandle:
@@ -211,8 +209,8 @@ class PresentedModel(ExactStructureModel):
 
     def quotient_by(self, a: ObjectHandle, cols: IntMatrix) -> MorphismHandle:
         """Epic from a onto a / (columns + relations), Smith-canonical."""
-        canon, _, from_raw = normalize_presentation(PresentedObject(
-            a.payload.ngens, IntMatrix.hstack(cols, a.payload.relations)))
+        canon, _, from_raw = presented(
+            a.payload.ngens, IntMatrix.hstack(cols, a.payload.relations)).normal_form
         return self.morphism(a, self._obj(canon), from_raw, check=False)
 
     # -- kernels, cokernels, analysis --------------------------------------
@@ -346,22 +344,22 @@ class PresentedModel(ExactStructureModel):
     def _hom_basis(self, a: PresentedObject, b: PresentedObject) -> IntMatrix:
         """Columns are vectorized generators of Hom(a, b) inside matrix space:
         the canonical basis of {vec X : X R_a in col(R_b)}, X_ij at j * nb + i."""
-        # With the cached Smith forms U R V = D, col(R) = U^-1 col(D), so X
-        # respects relations iff Y = U_b X U_a^-1 has Y_ij da_j in db_i Z (da, db
-        # padded with zeros): Y_ij is free if da_j = 0, zero if only db_i = 0,
-        # else any multiple of db_i / gcd(db_i, da_j).  vec X = kron(U_a^T,
-        # U_b^-1) vec Y is a bijection, so the scaled kron columns span Hom.
+        # With the cached Smith form U R_a V = D, X = W U respects relations
+        # iff d_k w_k is in col(R_b) for each column w_k of W (d padded with
+        # zeros).  So Hom is spanned by the X with columns in col(R_b) (na
+        # copies of b's basis) and, for each d_k != 1, by vec(w e_k^T U) =
+        # row_k(U)^T (x) w, w in {w : d_k w in col(R_b)} (Z^nb if d_k = 0).
         na, nb = a.ngens, b.ngens
         if not a.relations.cols:
             return IntMatrix.identity(na * nb)
-        sa, sb = smith_normal_form(a.relations), smith_normal_form(b.relations)
-        da = sa.diagonal + (0,) * (na - len(sa.diagonal))
-        db = sb.diagonal + (0,) * (nb - len(sb.diagonal))
-        scale = [1 if dj == 0 else 0 if di == 0 else di // gcd(di, dj) for dj in da for di in db]
-        k = IntMatrix.kron(sa.U.transpose(), sb.U_inv)
-        # column_hnf drops the columns that a zero scale clears
-        return column_hnf(IntMatrix(k.rows, k.cols, tuple(
-            tuple(map(operator.mul, row, scale)) for row in k.entries)))
+        sa = smith_normal_form(a.relations)
+        gens = [IntMatrix.kron(IntMatrix.identity(na), b.basis)]
+        for k, d in enumerate(sa.diagonal + (0,) * (na - len(sa.diagonal))):
+            if d != 1:
+                w = IntMatrix.identity(nb) if d == 0 else \
+                    preimage_basis(IntMatrix.diagonal([d] * nb), b.basis)
+                gens.append(IntMatrix.kron(sa.U.take_rows([k]).transpose(), w))
+        return column_hnf(IntMatrix.hstack(*gens))
 
     def random_morphism(self, rng: random.Random, a: ObjectHandle,
                         b: ObjectHandle) -> MorphismHandle:
@@ -495,14 +493,13 @@ class VectModel(FgabModel):
 
     def validate_object(self, payload: object) -> None:
         super().validate_object(payload)
-        inv = _invariants_of(payload)
+        inv = payload.invariants
         if inv.free_rank or any(t != self.p for t in inv.torsion_factors):
             raise PreconditionError(f"object is not an F_{self.p} vector space")
 
     def object(self, ngens: int, relations: Optional[IntMatrix] = None) -> ObjectHandle:
-        if relations is None:
-            relations = IntMatrix.diagonal([self.p] * ngens)
-        return self._obj(PresentedObject(ngens, relations))
+        return super().object(ngens, IntMatrix.diagonal([self.p] * ngens)
+                              if relations is None else relations)
 
     def random_object(self, rng: random.Random, bounds: GenBounds) -> ObjectHandle:
         return self.object(rng.randrange(0, bounds.max_gens + 1))
@@ -675,8 +672,8 @@ def fgab_object(ngens: int, relations=None, model: Optional[PresentedModel] = No
         rel = relations
     else:
         rel = IntMatrix.from_rows(relations, cols=len(relations[0]) if relations else 0)
-        if rel.rows != ngens:
-            raise PreconditionError("relation rows must equal the generator count")
+    if rel.rows != ngens:
+        raise PreconditionError("relation rows must equal the generator count")
     return m.object(ngens, rel)
 
 

@@ -1,16 +1,27 @@
 import random
+from math import gcd
 
 import pytest
 
 from exactcat.intlinalg import (
     IntMatrix,
+    SmithDecomposition,
     column_hnf,
     preimage_basis,
     smith_normal_form,
     unimodular_inverse,
 )
-from exactcat.completion import CompletedModel, complete
-from exactcat.kernel import GenBounds, MorphismSystem, ObjectAbsent, PreconditionError
+from exactcat.completion import CompletedModel, CompletionObject, SplitData, complete
+from exactcat.kernel import (
+    BiproductData,
+    GenBounds,
+    IsoInvariants,
+    MorphismHandle,
+    MorphismSystem,
+    ObjectAbsent,
+    ObjectHandle,
+    PreconditionError,
+)
 from exactcat.models import (
     PresentedObject,
     cyclic,
@@ -23,7 +34,7 @@ from exactcat.models import (
     free_split,
     is_projective,
     iso_invariants,
-    normalize_presentation,
+    presented,
     projective_cover_epi,
     vect,
     vect_model,
@@ -47,6 +58,13 @@ def test_object_builders():
 
     assert iso_invariants(cyclic(0)) == iso_invariants(free(1))
     assert iso_invariants(cyclic(1)).torsion_factors == ()
+
+
+@pytest.mark.parametrize("relations", [[[1, 2, 3]], IntMatrix.zeros(3, 0)],
+                         ids=["nested lists", "IntMatrix"])
+def test_relation_rows_must_match_the_generator_count(relations):
+    with pytest.raises(PreconditionError, match="relation rows"):
+        fgab_object(2, relations)
 
 
 def test_iso_invariants_examples():
@@ -447,6 +465,23 @@ def test_split_analysis_matches_regular_splitting(model):
     assert seen[True] >= 25 and seen[False] >= 5, seen
 
 
+def _smith_kronecker_hom_basis(a, b):
+    # PresentedModel._hom_basis as it was, from both Smith transforms: with
+    # U R V = D, X respects relations iff Y = U_b X U_a^-1 has
+    # Y_ij da_j in db_i Z, so the columns of kron(U_a^T, U_b^-1) scaled by
+    # db_i / gcd(db_i, da_j) (1 if da_j = 0, 0 if only db_i = 0) span Hom
+    na, nb = a.ngens, b.ngens
+    if not a.relations.cols:
+        return IntMatrix.identity(na * nb)
+    sa, sb = smith_normal_form(a.relations), smith_normal_form(b.relations)
+    da = sa.diagonal + (0,) * (na - len(sa.diagonal))
+    db = sb.diagonal + (0,) * (nb - len(sb.diagonal))
+    scale = [1 if dj == 0 else 0 if di == 0 else di // gcd(di, dj) for dj in da for di in db]
+    k = IntMatrix.kron(sa.U.transpose(), sb.U_inv)
+    return column_hnf(IntMatrix(k.rows, k.cols, tuple(
+        tuple(x * c for x, c in zip(row, scale)) for row in k.entries)))
+
+
 def _reference_hom_basis(a, b):
     # PresentedModel._hom_basis as it was: vec X with X R_a in col(R_b) as a
     # Kronecker preimage system
@@ -471,6 +506,7 @@ def test_hom_basis_matches_kronecker_system(model):
                 else model.random_object(rng, bounds).payload for _ in range(2))
         basis = model._hom_basis(a, b)
         assert basis == _reference_hom_basis(a, b), (a, b)
+        assert basis == _smith_kronecker_hom_basis(a, b), (a, b)
         # every basis column is a well-defined map a -> b
         for j in range(basis.cols if a.ngens and b.ngens else 0):
             x = IntMatrix(b.ngens, a.ngens, tuple(
@@ -521,8 +557,8 @@ def test_other_preconditions_propagate_from_kernels(op):
 
 
 def _selection_normalization(payload):
-    # normalize_presentation as it was: the change of generators as products
-    # with a 0/1 selection matrix, and U^-1 from a second elimination
+    # the normal form as it was first written: the change of generators as
+    # products with a 0/1 selection matrix, and U^-1 from a second elimination
     n, rel = payload.ngens, payload.relations
     snf = smith_normal_form(rel)
     m = min(rel.rows, rel.cols)
@@ -538,7 +574,7 @@ def _selection_normalization(payload):
             sel @ snf.U)
 
 
-def test_normalize_presentation_matches_the_selection_products():
+def test_normal_form_matches_the_selection_products():
     rng = random.Random(2200)
     dropped = torsion = 0
     for k in range(500):
@@ -547,8 +583,39 @@ def test_normalize_presentation_matches_the_selection_products():
         rel = IntMatrix.from_rows([[rng.randint(-bound, bound) for _ in range(r)]
                                    for _ in range(n)], cols=r)
         payload = PresentedObject(n, rel)
-        ours = normalize_presentation(payload)
+        ours = payload.normal_form
         assert ours == _selection_normalization(payload), payload
         dropped += ours[0].ngens < n
         torsion += ours[0].relations.cols > 0
     assert dropped > 100 and torsion > 100
+
+
+def test_equal_payloads_are_one_object():
+    m = fgab()
+    z4 = m.object(1, IntMatrix.from_rows([[4]]))
+    # an equal matrix built separately still gives the same payload object
+    assert m.object(1, IntMatrix.from_rows([[4]])).payload is z4.payload
+    # the canonical quotient Z / 4Z, the subquotient 2Z / 8Z and a normal form
+    assert m.quotient_by(free(1), IntMatrix.from_rows([[4]])).cod.payload is z4.payload
+    sq = m.subquotient(IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[8]]))
+    assert sq.ob.payload is z4.payload
+    assert presented(2, IntMatrix.from_rows([[2, 0], [0, 2]])).normal_form[0] is \
+        m.object(2, IntMatrix.from_rows([[2, 0], [0, 2]])).payload
+    bp = m.biproduct(z4, cyclic(6))
+    assert bp.ob.payload is m.object(2, IntMatrix.from_rows([[4, 0], [0, 6]])).payload
+    # so the normal form is computed once for the payload
+    assert z4.payload.normal_form is presented(1, IntMatrix.from_rows([[4]])).normal_form
+
+
+def test_value_types_have_no_instance_dict():
+    m = fgab()
+    a, b = cyclic(4), free(1)
+    f = m.morphism(b, a, IntMatrix.from_rows([[1]]))
+    e = complete(fgab_split()).embed(cyclic(6, model=fgab_split()))
+    values = [f.matrix, smith_normal_form(f.matrix), a, f, iso_invariants(a),
+              m.biproduct(a, b), e.payload, e.model._split(e)]
+    kinds = (IntMatrix, SmithDecomposition, ObjectHandle, MorphismHandle, IsoInvariants,
+             BiproductData, CompletionObject, SplitData)
+    for value, kind in zip(values, kinds):
+        assert type(value) is kind and "__slots__" in vars(kind)
+        assert not hasattr(value, "__dict__"), kind.__name__

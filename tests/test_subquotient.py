@@ -37,7 +37,6 @@ from exactcat.models import (
     fgab,
     free_split,
     iso_invariants,
-    normalize_presentation,
 )
 from exactcat.resolutions import FunctorSpec, hom_structure
 
@@ -49,7 +48,7 @@ B = GenBounds(max_gens=3)
 
 
 def _oracle_normalized(model, ngens, relations):
-    canon, to_raw, _ = normalize_presentation(PresentedObject(ngens, relations))
+    canon, to_raw, _ = PresentedObject(ngens, relations).normal_form
     return model._obj(canon), to_raw
 
 
